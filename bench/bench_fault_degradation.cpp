@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_cli.h"
 #include "experiment_config.h"
 
 using namespace sh;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_cli.h"
 #include "experiment_config.h"
 
 using namespace sh;

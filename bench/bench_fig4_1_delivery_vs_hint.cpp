@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "channel/trace_stats.h"
+#include "bench_cli.h"
 #include "experiment_config.h"
 #include "util/table.h"
 

@@ -10,10 +10,9 @@
 // window, identically for both strategies). Default output is byte-identical
 // to the pre-scaling bench.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
+#include "bench_cli.h"
 #include "exp/thread_pool.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -123,18 +122,7 @@ int run_city_scale(int vehicles) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int vehicles = 0;  // 0 = the paper configuration (byte-identical output).
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--vehicles") == 0 && i + 1 < argc) {
-      vehicles = std::atoi(argv[++i]);
-      if (vehicles < 1 || vehicles > 1000000) {
-        std::fprintf(stderr, "--vehicles: expected 1..1000000\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "usage: %s [--vehicles N]\n", argv[0]);
-      return 2;
-    }
-  }
+  // 0 = the paper configuration (byte-identical output).
+  const int vehicles = sh::bench::parse_vehicles_cli(argc, argv);
   return vehicles == 0 ? run_paper_scale() : run_city_scale(vehicles);
 }

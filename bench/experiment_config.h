@@ -6,10 +6,6 @@
 // reproducible.
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -166,43 +162,6 @@ inline exp::MetricSample protocol_metrics(
   rate::Charm charm;
   sample.set("charm_mbps", rate::run_trace(charm, trace, run).throughput_mbps);
   return sample;
-}
-
-/// CLI options shared by the engine-backed benches: `--threads N` picks the
-/// pool width (0 = hardware concurrency; the printed numbers are identical
-/// at any width) and `--json FILE` additionally writes the structured
-/// sh.sweep.v1 results.
-struct SweepCliOptions {
-  int threads = 0;
-  std::string json_path;
-};
-
-inline SweepCliOptions parse_sweep_cli(int argc, char** argv) {
-  SweepCliOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--threads N] [--json FILE]\n", argv[0]);
-      std::exit(2);
-    }
-  }
-  return opts;
-}
-
-/// Writes the JSON results file if `--json` was given; timing goes to
-/// stderr so stdout stays byte-stable across machines and thread counts.
-inline void finish_sweep(const exp::SweepResult& result,
-                         const SweepCliOptions& opts) {
-  if (!opts.json_path.empty()) {
-    std::ofstream os(opts.json_path);
-    result.write_json(os);
-  }
-  std::fprintf(stderr, "[sweep %s: %llu runs in %.2fs]\n", result.name.c_str(),
-               static_cast<unsigned long long>(result.total_runs),
-               result.wall_seconds);
 }
 
 }  // namespace sh::bench

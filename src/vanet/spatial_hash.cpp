@@ -10,10 +10,13 @@ namespace sh::vanet {
 
 namespace {
 
-/// Vehicles per sharded-scan block. Fixed (never derived from the thread
-/// count) so the block decomposition — and therefore every block's locally
-/// sorted pair list — is identical no matter how many workers execute it.
-constexpr std::size_t kScanBlock = 2048;
+/// Occupied cells per sharded-scan block. Fixed (never derived from the
+/// thread count) so the block decomposition is identical no matter how many
+/// workers execute it.
+constexpr std::size_t kCellBlock = 1024;
+
+/// Key distance between a cell and the one directly above it (pack()).
+constexpr std::uint64_t kRowStride = std::uint64_t{1} << 32;
 
 }  // namespace
 
@@ -35,109 +38,96 @@ std::int64_t SpatialHash::cell_of(double v) const noexcept {
 void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
   const std::size_t n = snapshot.size();
   // (cell key, vehicle id), sorted: groups members by cell with ids
-  // ascending inside each cell — the order every query below leans on.
-  std::vector<std::pair<std::uint64_t, int>> keyed;
-  keyed.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keyed.emplace_back(pack(cell_of(snapshot[i].position.x),
-                            cell_of(snapshot[i].position.y)),
-                       static_cast<int>(i));
-  }
-  std::sort(keyed.begin(), keyed.end());
-
-  cell_keys_.clear();
-  cell_begin_.clear();
+  // ascending inside each cell — the order the scan below leans on.
   members_.clear();
   members_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
-      cell_keys_.push_back(keyed[i].first);
-      cell_begin_.push_back(members_.size());
-    }
-    members_.push_back(keyed[i].second);
+    members_.emplace_back(pack(cell_of(snapshot[i].position.x),
+                               cell_of(snapshot[i].position.y)),
+                          static_cast<int>(i));
   }
-  cell_begin_.push_back(members_.size());
+  std::sort(members_.begin(), members_.end());
+
+  cell_keys_.clear();
+  cell_begin_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == 0 || members_[i].first != members_[i - 1].first) {
+      cell_keys_.push_back(members_[i].first);
+      cell_begin_.push_back(i);
+    }
+  }
+  cell_begin_.push_back(n);
 }
 
-const std::vector<int>* SpatialHash::cell_members(
-    std::uint64_t key, std::size_t& begin, std::size_t& end) const noexcept {
-  const auto it = std::lower_bound(cell_keys_.begin(), cell_keys_.end(), key);
-  if (it == cell_keys_.end() || *it != key) return nullptr;
-  const auto c = static_cast<std::size_t>(it - cell_keys_.begin());
-  begin = cell_begin_[c];
-  end = cell_begin_[c + 1];
-  return &members_;
-}
-
-void SpatialHash::neighbors_of(const Vec2& position, double range_m, int self,
-                               const std::vector<VehicleState>& snapshot,
-                               std::vector<int>& out) const {
-  assert(range_m <= cell_m_);
-  out.clear();
-  const std::int64_t cx = cell_of(position.x);
-  const std::int64_t cy = cell_of(position.y);
-  for (std::int64_t dy = -1; dy <= 1; ++dy) {
-    for (std::int64_t dx = -1; dx <= 1; ++dx) {
-      std::size_t begin = 0, end = 0;
-      if (cell_members(pack(cx + dx, cy + dy), begin, end) == nullptr) continue;
-      for (std::size_t m = begin; m < end; ++m) {
-        const int b = members_[m];
-        if (b <= self) continue;
-        if (distance(position, snapshot[static_cast<std::size_t>(b)].position) <=
-            range_m) {
-          out.push_back(b);
+void SpatialHash::scan_cells(std::size_t lo, std::size_t hi,
+                             const std::vector<VehicleState>& snapshot,
+                             double range_m,
+                             std::vector<VehiclePair>& out) const {
+  const std::size_t cells = cell_keys_.size();
+  const auto id = [&](std::size_t m) { return members_[m].second; };
+  const auto position = [&](std::size_t m) -> const Vec2& {
+    return snapshot[static_cast<std::size_t>(id(m))].position;
+  };
+  // Every member of cell c against every member of cell d; within one cell
+  // (c == d) only j > i, so each pair is tested once.
+  const auto scan_pair = [&](std::size_t c, std::size_t d) {
+    for (std::size_t i = cell_begin_[c]; i < cell_begin_[c + 1]; ++i) {
+      for (std::size_t j = c == d ? i + 1 : cell_begin_[d];
+           j < cell_begin_[d + 1]; ++j) {
+        if (distance(position(i), position(j)) <= range_m) {
+          out.emplace_back(std::min(id(i), id(j)), std::max(id(i), id(j)));
         }
       }
     }
+  };
+
+  // First cell whose key is >= the current cell's upper-left neighbor; the
+  // target rises with the key, so the cursor only moves forward.
+  std::size_t above = lo;
+  for (std::size_t c = lo; c < hi; ++c) {
+    const std::uint64_t key = cell_keys_[c];
+    scan_pair(c, c);
+    // East neighbor (ix + 1, iy): the next occupied key, if it is key + 1.
+    if (c + 1 < cells && cell_keys_[c + 1] == key + 1) scan_pair(c, c + 1);
+    // Row above (ix - 1 .. ix + 1, iy + 1): up to three consecutive keys.
+    while (above < cells && cell_keys_[above] < key + kRowStride - 1) ++above;
+    for (std::size_t d = above;
+         d < cells && cell_keys_[d] <= key + kRowStride + 1; ++d) {
+      scan_pair(c, d);
+    }
   }
-  std::sort(out.begin(), out.end());
 }
 
 std::vector<VehiclePair> SpatialHash::pairs_within(
     const std::vector<VehicleState>& snapshot, double range_m,
     exp::ThreadPool* pool) const {
   assert(range_m <= cell_m_);
-  const std::size_t n = snapshot.size();
-  const std::size_t blocks = (n + kScanBlock - 1) / kScanBlock;
+  const std::size_t cells = cell_keys_.size();
+  const std::size_t blocks = (cells + kCellBlock - 1) / kCellBlock;
 
-  // One block scans ids [lo, hi) as the lesser endpoint of each pair, so a
-  // pair belongs to exactly one block; sorting a block's output makes the
-  // block-order concatenation globally (a, b)-sorted.
-  const auto scan_block = [&](std::size_t block, std::vector<VehiclePair>& out) {
-    const std::size_t lo = block * kScanBlock;
-    const std::size_t hi = std::min(n, lo + kScanBlock);
-    std::vector<int> near;
-    for (std::size_t a = lo; a < hi; ++a) {
-      neighbors_of(snapshot[a].position, range_m, static_cast<int>(a),
-                   snapshot, near);
-      for (const int b : near) out.emplace_back(static_cast<int>(a), b);
-    }
-    std::sort(out.begin(), out.end());
+  // A pair is found from exactly one cell, so the blocks' outputs are
+  // disjoint; concatenating them in block order and sorting once makes the
+  // result independent of the block decomposition and of scheduling.
+  std::vector<std::vector<VehiclePair>> parts(blocks);
+  const auto scan_block = [&](std::size_t block) {
+    const std::size_t lo = block * kCellBlock;
+    scan_cells(lo, std::min(cells, lo + kCellBlock), snapshot, range_m,
+               parts[block]);
   };
-
-  if (pool == nullptr || pool->thread_count() <= 1 || blocks <= 1) {
-    std::vector<VehiclePair> out;
-    for (std::size_t block = 0; block < blocks; ++block) {
-      std::vector<VehiclePair> part;
-      scan_block(block, part);
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
+  if (pool != nullptr && pool->thread_count() > 1 && blocks > 1) {
+    pool->parallel_for(blocks, scan_block);
+  } else {
+    for (std::size_t block = 0; block < blocks; ++block) scan_block(block);
   }
 
-  std::vector<std::vector<VehiclePair>> parts(blocks);
-  pool->parallel_for(blocks, [&](std::size_t block) {
-    scan_block(block, parts[block]);
-  });
   std::vector<VehiclePair> out;
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
   out.reserve(total);
-  // Ordered reduction (D5 contract): blocks concatenate in block order, so
-  // the result is byte-identical to the serial scan at any thread count.
   for (const auto& part : parts) {
     out.insert(out.end(), part.begin(), part.end());
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -3,15 +3,22 @@
 // The ≤100 m link rule makes proximity the hot query of every vehicular
 // experiment; the O(n²) all-pairs scan that was fine for the paper's
 // 100-taxi testbed is hopeless at city scale. This index buckets vehicles
-// into square cells whose side equals the query radius, so a vehicle's
-// neighbors can only live in its own cell or the eight surrounding ones —
-// the classic 3x3 stencil — and the whole pair set costs O(n + pairs).
+// into square cells whose side equals the query radius, so a pair in range
+// can only span one cell or two touching ones, and the whole pair set costs
+// O(n + pairs).
+//
+// The scan is cell-major over a half stencil: each occupied cell, in sorted
+// key order, is paired with itself, with its east neighbor, and with the
+// three cells of the row above. Every touching cell pair is visited once,
+// from its lower-keyed side, so no pair is tested twice and no lookup needs
+// a binary search: the east neighbor is the next key, and the row above is
+// found by a cursor that only moves forward.
 //
 // Determinism contract (DESIGN.md "Determinism contract"): the pair list is
-// returned sorted by (a, b) vehicle id, and the sharded scan partitions the
-// id range into fixed-size contiguous blocks whose outputs concatenate in
-// block order — already globally sorted — so the bytes downstream consumers
-// emit are identical at any thread count, including the serial path.
+// returned sorted by (a, b) vehicle id. The sharded scan splits the cells
+// into fixed-size blocks (never sized from the thread count), concatenates
+// the block outputs in block order and sorts once, so the serial and pooled
+// paths run the same code and return identical bytes at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -42,37 +49,33 @@ class SpatialHash {
 
   /// Every pair (a < b) with distance(a, b) <= range_m, sorted by (a, b).
   /// Requires range_m <= cell_m and a preceding build() over the same
-  /// snapshot. With a pool, the scan shards over fixed-size id blocks; the
+  /// snapshot. With a pool, the scan shards over fixed-size cell blocks; the
   /// result is byte-identical to the serial scan.
   std::vector<VehiclePair> pairs_within(
       const std::vector<VehicleState>& snapshot, double range_m,
       exp::ThreadPool* pool = nullptr) const;
 
-  /// Vehicles in the 3x3 stencil around `position` with id > `self` and
-  /// distance <= range_m, ascending. `self` = -1 returns every vehicle in
-  /// range (the route layer's neighbor query).
-  void neighbors_of(const Vec2& position, double range_m, int self,
-                    const std::vector<VehicleState>& snapshot,
-                    std::vector<int>& out) const;
-
   double cell_m() const noexcept { return cell_m_; }
   std::size_t num_cells() const noexcept { return cell_keys_.size(); }
 
  private:
-  /// Packed cell coordinate; lexicographic (iy, ix) order.
+  /// Packed cell coordinate; lexicographic (iy, ix) order, so the east
+  /// neighbor of key k is k + 1 and the cell above is k + 2^32.
   static std::uint64_t pack(std::int64_t ix, std::int64_t iy) noexcept;
   std::int64_t cell_of(double v) const noexcept;
 
-  /// Vehicle ids of one cell: members_[cell_begin_[c] .. cell_begin_[c+1])
-  /// sorted ascending; cell_keys_ sorted so cells are binary-searchable.
-  const std::vector<int>* cell_members(std::uint64_t key,
-                                       std::size_t& begin,
-                                       std::size_t& end) const noexcept;
+  /// Appends the in-range pairs found from cells [lo, hi) of the half
+  /// stencil, unsorted.
+  void scan_cells(std::size_t lo, std::size_t hi,
+                  const std::vector<VehicleState>& snapshot, double range_m,
+                  std::vector<VehiclePair>& out) const;
 
   double cell_m_;
   std::vector<std::uint64_t> cell_keys_;  ///< Sorted unique occupied cells.
   std::vector<std::size_t> cell_begin_;   ///< Offsets into members_ (+1 entry).
-  std::vector<int> members_;              ///< Vehicle ids grouped by cell.
+  /// (cell key, vehicle id) sorted: vehicles grouped by cell, ids ascending
+  /// within a cell. A member so its storage is reused across build() calls.
+  std::vector<std::pair<std::uint64_t, int>> members_;
 };
 
 }  // namespace sh::vanet

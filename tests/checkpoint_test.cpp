@@ -546,7 +546,8 @@ std::vector<SweepPoint> engine_grid() {
   std::vector<SweepPoint> points;
   for (int i = 0; i < 4; ++i) {
     SweepPoint p;
-    p.label = "g" + std::to_string(i);
+    p.label = "g";
+    p.label += std::to_string(i);
     p.params = {{"i", std::to_string(i)}};
     p.repetitions = 3;
     points.push_back(p);

@@ -297,7 +297,9 @@ TEST(SweepRunnerTest, SeedsAreUniquePerRunAndScheduleIndependent) {
 TEST(SweepRunnerTest, JsonByteIdenticalAcrossThreadCounts) {
   std::vector<SweepPoint> points(16);
   for (int i = 0; i < 16; ++i) {
-    points[static_cast<std::size_t>(i)].label = "p" + std::to_string(i);
+    auto& label = points[static_cast<std::size_t>(i)].label;
+    label = "p";
+    label += std::to_string(i);
     points[static_cast<std::size_t>(i)].params = {
         {"index", std::to_string(i)}};
     points[static_cast<std::size_t>(i)].repetitions = 3;

@@ -178,7 +178,7 @@ TEST(VanetDifferentialTest, ShardedPairScanEqualsSerialScan) {
   exp::ThreadPool pool2(2);
   exp::ThreadPool pool8(8);
   for (int trial = 0; trial < 4; ++trial) {
-    // Enough vehicles to span several 2048-id scan blocks is what matters
+    // Enough occupied cells to span several scan blocks is what matters
     // here; city_for_scale keeps the pair count sane at that size.
     const auto net = RoadNetwork::city_for_scale(5000, meta());
     TrafficSim sim(net, meta(), random_params(meta, 5000));
@@ -414,6 +414,178 @@ TEST(SpatialHashEdgeCaseTest, RangeSmallerThanCellStillExact) {
     EXPECT_EQ(hash.pairs_within(snap, range), brute_pairs(snap, range))
         << "range " << range;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Cell-major half-stencil scan: the layouts its key arithmetic and forward
+// cursor must get right, each checked against brute force.
+
+TEST(SpatialHashScanTest, NegativeCoordinates) {
+  util::Rng rng(8080);
+  std::vector<Vec2> positions;
+  for (int i = 0; i < 120; ++i) {
+    positions.push_back(
+        Vec2{rng.uniform(-650.0, 50.0), rng.uniform(-650.0, 50.0)});
+  }
+  const auto snap = at_positions(positions);
+  SpatialHash hash(100.0);
+  hash.build(snap);
+  const auto pairs = hash.pairs_within(snap, 100.0);
+  EXPECT_FALSE(pairs.empty());
+  EXPECT_EQ(pairs, brute_pairs(snap, 100.0));
+}
+
+TEST(SpatialHashScanTest, RowEndIsNotAdjacentToNextRowStart) {
+  // Cell (5, 0) ends row 0 and cell (-3, 1) starts row 1: neighbors in key
+  // order, far apart on the ground.
+  const auto apart = at_positions({{590.0, 90.0}, {-250.0, 150.0}});
+  SpatialHash hash(100.0);
+  hash.build(apart);
+  EXPECT_EQ(hash.num_cells(), 2U);
+  EXPECT_TRUE(hash.pairs_within(apart, 100.0).empty());
+
+  // Same layout plus a real upper-left neighbor (4, 1) of the row-0 end
+  // and a row-0 cell far from both.
+  const auto linked = at_positions(
+      {{590.0, 90.0}, {-250.0, 150.0}, {495.0, 110.0}, {10.0, 20.0}});
+  hash.build(linked);
+  const auto pairs = hash.pairs_within(linked, 100.0);
+  EXPECT_EQ(pairs, (std::vector<VehiclePair>{{0, 2}}));
+  EXPECT_EQ(pairs, brute_pairs(linked, 100.0));
+}
+
+TEST(SpatialHashScanTest, EmptyRowAboveSkipsToRowTwoAbove) {
+  // Rows 0 and 2 are occupied, row 1 is empty: no pair may span the gap,
+  // while pairs inside each row must all be found.
+  util::Rng rng(99);
+  std::vector<Vec2> positions;
+  for (int i = 0; i < 80; ++i) {
+    const double row_y = rng.bernoulli(0.5) ? 0.0 : 200.0;
+    positions.push_back(
+        Vec2{rng.uniform(-300.0, 300.0), row_y + rng.uniform(0.0, 99.9)});
+  }
+  // Boundary vehicles: the closest the two rows get, 100.2 m apart.
+  positions.push_back(Vec2{0.0, 99.9});
+  positions.push_back(Vec2{0.0, 200.1});
+  const auto snap = at_positions(positions);
+  SpatialHash hash(100.0);
+  hash.build(snap);
+  const auto pairs = hash.pairs_within(snap, 100.0);
+  EXPECT_FALSE(pairs.empty());
+  EXPECT_EQ(pairs, brute_pairs(snap, 100.0));
+}
+
+TEST(SpatialHashScanTest, ManyVehiclesInOneCell) {
+  util::Rng rng(4242);
+  std::vector<Vec2> positions(50, Vec2{420.0, -30.0});
+  for (int i = 0; i < 150; ++i) {
+    positions.push_back(
+        Vec2{rng.uniform(400.0, 499.9), rng.uniform(-99.9, 0.0)});
+  }
+  for (int i = 0; i < 40; ++i) {
+    positions.push_back(
+        Vec2{rng.uniform(300.0, 600.0), rng.uniform(-200.0, 100.0)});
+  }
+  const auto snap = at_positions(positions);
+  SpatialHash hash(100.0);
+  hash.build(snap);
+  const auto pairs = hash.pairs_within(snap, 100.0);
+  EXPECT_GE(pairs.size(), 50U * 49U / 2U);
+  EXPECT_EQ(pairs, brute_pairs(snap, 100.0));
+}
+
+TEST(SpatialHashScanTest, PairsEqualForNullAndPoolsOf1To8Threads) {
+  // Several thousand occupied cells: the scan splits into multiple blocks.
+  const auto net = RoadNetwork::city_for_scale(5000, 606);
+  TrafficSim::Params params;
+  params.num_vehicles = 5000;
+  params.routing = TrafficSim::Routing::kFollowRoad;
+  TrafficSim sim(net, 607, params);
+  exp::ThreadPool pool1(1);
+  exp::ThreadPool pool2(2);
+  exp::ThreadPool pool8(8);
+  SpatialHash hash(100.0);
+  for (int step = 0; step < 3; ++step) {
+    sim.step();
+    const auto snap = sim.snapshot();
+    hash.build(snap);
+    ASSERT_GT(hash.num_cells(), 2048U);
+    const auto serial = hash.pairs_within(snap, 100.0);
+    EXPECT_EQ(serial, brute_pairs(snap, 100.0)) << "step " << step;
+    EXPECT_EQ(hash.pairs_within(snap, 100.0, &pool1), serial);
+    EXPECT_EQ(hash.pairs_within(snap, 100.0, &pool2), serial);
+    EXPECT_EQ(hash.pairs_within(snap, 100.0, &pool8), serial);
+  }
+}
+
+TEST(SpatialHashScanTest, BlockBoundariesKeepCrossBlockPairs) {
+  // One vehicle per cell of a 40 x 80 lattice: 3200 occupied cells, so the
+  // scan splits into several blocks and every block boundary separates
+  // touching cells. At cell centers (100 m pitch) every east and north
+  // neighbor is at exactly 100 m; jittered, the diagonals link too.
+  constexpr int kRows = 40;
+  constexpr int kCols = 80;
+  util::Rng rng(1024);
+  for (const double jitter : {0.0, 49.0}) {
+    std::vector<Vec2> positions;
+    for (int row = 0; row < kRows; ++row) {
+      for (int col = 0; col < kCols; ++col) {
+        positions.push_back(
+            Vec2{100.0 * col + 50.0 + rng.uniform(-jitter, jitter),
+                 100.0 * row + 50.0 + rng.uniform(-jitter, jitter)});
+      }
+    }
+    const auto snap = at_positions(positions);
+    SpatialHash hash(100.0);
+    hash.build(snap);
+    ASSERT_EQ(hash.num_cells(), static_cast<std::size_t>(kRows * kCols));
+    const auto serial = hash.pairs_within(snap, 100.0);
+    if (jitter == 0.0) {
+      EXPECT_EQ(serial.size(), static_cast<std::size_t>(
+                                   kRows * (kCols - 1) + (kRows - 1) * kCols));
+    }
+    EXPECT_EQ(serial, brute_pairs(snap, 100.0)) << "jitter " << jitter;
+    exp::ThreadPool pool8(8);
+    EXPECT_EQ(hash.pairs_within(snap, 100.0, &pool8), serial);
+  }
+}
+
+std::string serialized_records(const std::vector<LinkRecord>& records) {
+  std::ostringstream os;
+  for (const auto& r : records) {
+    os << r.vehicle_a << ' ' << r.vehicle_b << ' ' << r.start << ' ' << r.end
+       << ' ' << double_bits(r.heading_diff_start_deg) << '\n';
+  }
+  return os.str();
+}
+
+TEST(SpatialHashScanTest, LinkRecordsIdenticalAt1To8ThreadsFor10kVehicles) {
+  const auto net = RoadNetwork::city_for_scale(10000, 808);
+  TrafficSim::Params params;
+  params.num_vehicles = 10000;
+  params.routing = TrafficSim::Routing::kFollowRoad;
+  TrafficSim sim(net, 809, params);
+  exp::ThreadPool pool1(1);
+  exp::ThreadPool pool2(2);
+  exp::ThreadPool pool8(8);
+  LinkTracker::Params tp;
+  tp.heading_noise_deg = 2.0;
+  tp.noise_seed = 810;
+  LinkTracker tracker1(tp, &pool1);
+  LinkTracker tracker2(tp, &pool2);
+  LinkTracker tracker8(tp, &pool8);
+  for (int step = 0; step < 20; ++step) {
+    const Time now = static_cast<Time>(step) * kSecond;
+    sim.step(pool2);
+    const auto snap = sim.snapshot();
+    tracker1.observe(now, snap);
+    tracker2.observe(now, snap);
+    tracker8.observe(now, snap);
+  }
+  const auto bytes1 = serialized_records(tracker1.finish());
+  EXPECT_FALSE(bytes1.empty());
+  EXPECT_EQ(bytes1, serialized_records(tracker2.finish()));
+  EXPECT_EQ(bytes1, serialized_records(tracker8.finish()));
 }
 
 // ---------------------------------------------------------------------------

@@ -142,7 +142,11 @@ FileScan scan_source(std::string_view text) {
           if (prefix_delim_end != std::string::npos) {
             // R"delim( ... )delim"
             const std::size_t j = prefix_delim_end;
-            raw_delim = ")" + std::string(text.substr(i + 1, j - i - 1)) + "\"";
+            raw_delim.clear();
+            raw_delim.reserve(j - i + 1);
+            raw_delim += ')';
+            raw_delim.append(text.substr(i + 1, j - i - 1));
+            raw_delim += '"';
             state = State::kRawString;
             // Keep the opening delimiter in the code view.
             code_line.append(text.substr(i, j - i + 1));
