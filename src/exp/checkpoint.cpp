@@ -21,6 +21,12 @@ constexpr std::uint32_t kVersion = 1;
 /// Frames claiming more than this are treated as corruption, not records:
 /// a torn length prefix must not make the loader try to slurp gigabytes.
 constexpr std::uint32_t kMaxPayload = 1u << 20;
+/// The payload's status and attempts bytes. Every journaled run is a
+/// first-attempt success, so the writer emits these fixed values; the loader
+/// treats any other value (a run recorded as retried, timed out or failed)
+/// as a malformed record, so it re-runs instead of replaying.
+constexpr std::uint8_t kStatusByte = 0;
+constexpr std::uint8_t kAttemptsByte = 1;
 
 void put_bytes(std::string& out, const void* p, std::size_t n) {
   out.append(static_cast<const char*>(p), n);
@@ -57,8 +63,8 @@ std::string encode_header(const CheckpointHeader& h) {
 std::string encode_payload(const RunRecord& rec) {
   std::string p;
   put<std::uint64_t>(p, rec.run_index);
-  put<std::uint8_t>(p, static_cast<std::uint8_t>(rec.status));
-  put<std::uint8_t>(p, static_cast<std::uint8_t>(rec.attempts));
+  put<std::uint8_t>(p, kStatusByte);
+  put<std::uint8_t>(p, kAttemptsByte);
   const auto& entries = rec.sample.entries();
   put<std::uint16_t>(p, static_cast<std::uint16_t>(entries.size()));
   for (const auto& [name, value] : entries) {
@@ -84,9 +90,10 @@ bool decode_payload(const std::string& payload, std::uint64_t total_runs,
       !get(payload, off, attempts) || !get(payload, off, count)) {
     return false;
   }
-  if (rec.run_index >= total_runs || status > 3) return false;
-  rec.status = static_cast<RunStatus>(status);
-  rec.attempts = attempts;
+  if (rec.run_index >= total_runs || status != kStatusByte ||
+      attempts != kAttemptsByte) {
+    return false;
+  }
   rec.sample = MetricSample{};
   for (std::uint16_t m = 0; m < count; ++m) {
     std::uint16_t name_len = 0;

@@ -6,7 +6,8 @@
 //   header   magic "SHCKPT1\n" · u32 version · u32 reserved ·
 //            u64 config_hash · u64 base_seed · u64 total_runs
 //   record   u32 payload_len · u32 crc32(payload) · payload
-//   payload  u64 run_index · u8 status · u8 attempts · u16 metric_count ·
+//   payload  u64 run_index · u8 status (always 0) · u8 attempts (always 1) ·
+//            u16 metric_count ·
 //            metric_count × { u16 name_len · name bytes · u64 value_bits }
 //
 // Durability contract: the header is written via write-temp + fsync +

@@ -178,7 +178,7 @@ namespace {
 // The supervisor is wall-clock territory by design: watchdog deadlines and
 // backoff delays decide only whether a worker process is (re)launched, and
 // relaunched workers resume their journal, so no output bit ever depends on
-// these clocks. Same sanction as PointSupervisor's watchdog.
+// these clocks.
 using Clock = std::chrono::steady_clock;  // shlint:allow(D1)
 
 struct Running {

@@ -17,13 +17,11 @@
 //                      IncompleteShard manifest instead of a silent hole.
 //
 //   supervise_shards   forks one worker process per shard and wraps it in
-//                      the same robustness machinery PointSupervisor
-//                      applies to in-process repetitions: bounded retry
-//                      with exponential backoff whose jitter derives
-//                      deterministically from derive_seed(seed, shard,
-//                      attempt), a wall-clock watchdog that SIGKILLs and
-//                      restarts hung workers, and SIGKILL / nonzero-exit /
-//                      timeout classified per attempt. A shard that
+//                      bounded retry with exponential backoff whose jitter
+//                      derives deterministically from derive_seed(seed,
+//                      shard, attempt), a wall-clock watchdog that SIGKILLs
+//                      and restarts hung workers, and SIGKILL / nonzero-exit
+//                      / timeout classified per attempt. A shard that
 //                      exhausts its attempts is reported, not fatal — the
 //                      caller merges what completed and emits the
 //                      incomplete_shards manifest.
@@ -113,8 +111,7 @@ enum class WorkerOutcome : std::uint8_t {
 
 const char* worker_outcome_name(WorkerOutcome outcome) noexcept;
 
-/// Per-shard supervision summary — the process-level analogue of the
-/// engine's per-point run_status.
+/// Per-shard supervision summary.
 struct ShardStatus {
   int shard = 0;
   int attempts = 0;        ///< Workers launched for this shard.

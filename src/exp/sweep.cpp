@@ -6,7 +6,6 @@
 
 #include "exp/checkpoint.h"
 #include "exp/json.h"
-#include "exp/supervisor.h"
 #include "util/rng.h"
 
 namespace sh::exp {
@@ -63,17 +62,6 @@ void SweepResult::write_json(std::ostream& os) const {
     for (const auto& [k, v] : pr.point.params) w.member(k, std::string_view(v));
     w.end_object();
     w.member("repetitions", static_cast<std::int64_t>(pr.point.repetitions));
-    // Supervision outcomes are emitted only when a supervisor was active,
-    // so unsupervised JSON stays byte-identical to pre-supervisor builds.
-    if (supervised) {
-      w.key("run_status");
-      w.begin_object();
-      w.member("ok", pr.statuses.ok);
-      w.member("retried", pr.statuses.retried);
-      w.member("timed_out", pr.statuses.timed_out);
-      w.member("failed", pr.statuses.failed);
-      w.end_object();
-    }
     w.key("metrics");
     w.begin_object();
     for (const auto& [metric, s] : pr.metrics.summaries()) {
@@ -121,17 +109,15 @@ SweepResult SweepRunner::run(std::vector<SweepPoint> points, const RunFn& fn,
   }
 
   std::vector<MetricSample> samples(total);
-  std::vector<RunStatus> statuses(total, RunStatus::kOk);
-  // Replayed runs take their sample and status verbatim from the journal —
-  // the run function never executes for them, which is both the resume
-  // speedup and the reason resumed output is byte-identical (metric values
-  // round-trip the journal as raw IEEE-754 bits).
+  // Replayed runs take their sample verbatim from the journal — the run
+  // function never executes for them, which is both the resume speedup and
+  // the reason resumed output is byte-identical (metric values round-trip
+  // the journal as raw IEEE-754 bits).
   std::vector<char> replayed(total, 0);
   if (opts.resume != nullptr) {
     for (const auto& rec : *opts.resume) {
       if (rec.run_index >= total) continue;
       samples[rec.run_index] = rec.sample;
-      statuses[rec.run_index] = rec.status;
       replayed[rec.run_index] = 1;
     }
   }
@@ -147,7 +133,6 @@ SweepResult SweepRunner::run(std::vector<SweepPoint> points, const RunFn& fn,
                opts.shard_index;
   };
 
-  const PointSupervisor supervisor(opts.supervisor);
   // Wall-clock timing feeds only the stderr progress summary
   // (wall_seconds); it never reaches metrics or JSON. shlint:allow(D1)
   const auto t0 = std::chrono::steady_clock::now();
@@ -163,14 +148,12 @@ SweepResult SweepRunner::run(std::vector<SweepPoint> points, const RunFn& fn,
     ctx.run_index = i;
     ctx.seed = util::Rng::derive_seed(config_.base_seed, i);
     ctx.fault_seed = util::Rng::derive_seed(ctx.seed, kFaultSeedStream);
-    RunRecord rec = supervisor.run_point(points[p], ctx, fn);
-    samples[i] = rec.sample;
-    statuses[i] = rec.status;
+    samples[i] = fn(points[p], ctx);
     // Journal the completed repetition before moving on: once the append
     // returns, this run survives any later kill.  shlint:shard-safe —
     // append() serializes internally, and replay keys records by run
     // index, so on-disk append order never reaches an output.
-    if (opts.journal != nullptr) opts.journal->append(rec);
+    if (opts.journal != nullptr) opts.journal->append({i, samples[i]});
   });
   const auto t1 = std::chrono::steady_clock::now();  // shlint:allow(D1)
 
@@ -178,7 +161,6 @@ SweepResult SweepRunner::run(std::vector<SweepPoint> points, const RunFn& fn,
   result.name = config_.name;
   result.base_seed = config_.base_seed;
   result.total_runs = total;
-  result.supervised = opts.supervisor.enabled();
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   result.points.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
@@ -191,12 +173,6 @@ SweepResult SweepRunner::run(std::vector<SweepPoint> points, const RunFn& fn,
       // shard aggregates exactly its owned indices (the partial output).
       if (opts.replay_only ? replayed[i] == 0 : !owned(i)) continue;
       pr.metrics.add(samples[i]);
-      switch (statuses[i]) {
-        case RunStatus::kOk: ++pr.statuses.ok; break;
-        case RunStatus::kRetried: ++pr.statuses.retried; break;
-        case RunStatus::kTimedOut: ++pr.statuses.timed_out; break;
-        case RunStatus::kFailed: ++pr.statuses.failed; break;
-      }
     }
     result.points.push_back(std::move(pr));
   }

@@ -27,10 +27,6 @@
 #include "exp/metrics.h"
 #include "exp/thread_pool.h"
 
-namespace sh::fault {
-class FaultPlan;
-}
-
 namespace sh::exp {
 
 class CheckpointWriter;
@@ -58,28 +54,6 @@ struct RunContext {
   /// FaultPlan, fixed by (base_seed, run_index) alone so fault schedules
   /// are identical at any thread count.
   std::uint64_t fault_seed = 0;
-  /// Simulated-work meter; non-null only while a supervisor enforces a
-  /// deterministic deadline. Run functions charge the simulated seconds
-  /// they consume (see WorkMeter).
-  class WorkMeter* meter = nullptr;
-};
-
-/// Cooperative simulated-work meter. When a supervisor enforces a
-/// deterministic deadline, `RunContext::meter` is non-null and the run
-/// function charges the simulated time it consumes (e.g. the trace length);
-/// exceeding the budget marks the attempt timed_out — a pure function of
-/// the workload, never of the host's wall clock.
-class WorkMeter {
- public:
-  explicit WorkMeter(double budget_s) noexcept : budget_s_(budget_s) {}
-
-  void charge(double sim_seconds) noexcept { used_s_ += sim_seconds; }
-  double used_s() const noexcept { return used_s_; }
-  bool exceeded() const noexcept { return budget_s_ > 0.0 && used_s_ > budget_s_; }
-
- private:
-  double budget_s_;
-  double used_s_ = 0.0;
 };
 
 /// Executes one repetition and reports its metrics. Must be thread-safe and
@@ -88,62 +62,16 @@ class WorkMeter {
 using RunFn = std::function<MetricSample(const SweepPoint& point,
                                          const RunContext& ctx)>;
 
-/// Outcome of one supervised repetition (DESIGN.md "Crash tolerance and
-/// resume" has the state machine). Serialized into checkpoint records and,
-/// when supervision is active, counted per point in the JSON.
-enum class RunStatus : std::uint8_t {
-  kOk = 0,        ///< First attempt succeeded.
-  kRetried = 1,   ///< Succeeded after at least one failed attempt.
-  kTimedOut = 2,  ///< Every attempt exceeded its deadline; sample dropped.
-  kFailed = 3,    ///< Every attempt crashed/threw; sample dropped.
-};
-
-const char* run_status_name(RunStatus status) noexcept;
-
 /// Everything the engine knows about one finished repetition — the unit the
 /// checkpoint journal persists and resume replays.
 struct RunRecord {
   std::uint64_t run_index = 0;
-  RunStatus status = RunStatus::kOk;
-  int attempts = 1;
-  MetricSample sample;  ///< Empty when status is timed_out/failed.
-};
-
-/// Per-point tally of repetition outcomes.
-struct StatusCounts {
-  std::uint64_t ok = 0;
-  std::uint64_t retried = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t failed = 0;
-};
-
-/// Point-supervision policy. Default-constructed = supervision off: runs
-/// execute exactly as they did before the supervisor existed (exceptions
-/// propagate, no retry, no deadline) and nothing extra reaches the JSON.
-struct SupervisorConfig {
-  /// Attempts per repetition; retries reuse the same RunContext (same
-  /// seeds), so a retried run that succeeds is byte-identical to one that
-  /// never failed.
-  int max_attempts = 1;
-  /// Deterministic deadline in simulated seconds charged through
-  /// RunContext::meter; 0 disables it.
-  double sim_budget_s = 0.0;
-  /// Wall-clock backstop for genuinely wedged points, in milliseconds;
-  /// 0 disables it. Detection is post-hoc (a compute task cannot be safely
-  /// preempted), and a tripped watchdog legitimately makes output differ —
-  /// crash tolerance beats byte-identity only in this pathological case.
-  double watchdog_ms = 0.0;
-  /// Source of injected crash/timeout decisions (FaultConfig::exec);
-  /// null = no injection. Not owned.
-  const fault::FaultPlan* plan = nullptr;
-
-  bool enabled() const noexcept;
+  MetricSample sample;
 };
 
 struct PointResult {
   SweepPoint point;
   MetricRegistry metrics;  ///< Aggregated over the point's repetitions.
-  StatusCounts statuses;   ///< All `ok` unless supervision was active.
 };
 
 /// One shard of a distributed sweep that did not reach full coverage (its
@@ -164,10 +92,6 @@ struct SweepResult {
   /// "incomplete_shards" member, so complete merges stay byte-identical to
   /// single-host output.
   std::vector<IncompleteShard> incomplete_shards;
-  /// True when a supervisor was active; gates the per-point "run_status"
-  /// JSON member so unsupervised output stays byte-identical to builds
-  /// that predate supervision.
-  bool supervised = false;
   std::vector<PointResult> points;
   /// Wall-clock of the parallel phase. Deliberately NOT serialized: the
   /// JSON must be identical across machines and thread counts.
@@ -193,14 +117,13 @@ struct SweepConfig {
 /// Crash-tolerance knobs for one `run()` call. Defaults reproduce the
 /// pre-checkpoint engine exactly.
 struct RunOptions {
-  SupervisorConfig supervisor{};
   /// When non-null, every completed repetition is appended to this journal
   /// (CRC-framed, fsync'd) as it finishes. Not owned.
   CheckpointWriter* journal = nullptr;
   /// Verified records from a previous interrupted run. Their run indices
-  /// are replayed — sample and status taken verbatim, the run function
-  /// never called — making a resumed sweep byte-identical to an
-  /// uninterrupted one. Not owned.
+  /// are replayed — sample taken verbatim, the run function never called —
+  /// making a resumed sweep byte-identical to an uninterrupted one. Not
+  /// owned.
   const std::vector<RunRecord>* resume = nullptr;
   /// Distributed shard filter: of `shard_count` cooperating processes this
   /// one owns run indices with run_index % shard_count == shard_index.
@@ -233,8 +156,8 @@ class SweepRunner {
   /// aggregated, deterministic result. Exceptions from `fn` propagate after
   /// the batch drains (remaining repetitions still run).
   SweepResult run(std::vector<SweepPoint> points, const RunFn& fn);
-  /// Same, with crash tolerance: optional supervision (retry/deadline),
-  /// checkpoint journaling, and replay of resumed records.
+  /// Same, with crash tolerance: checkpoint journaling, replay of resumed
+  /// records, and the shard filter.
   SweepResult run(std::vector<SweepPoint> points, const RunFn& fn,
                   const RunOptions& opts);
 

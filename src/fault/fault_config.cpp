@@ -29,12 +29,8 @@ bool FaultConfig::hint_null() const noexcept {
          clock.offset == 0 && clock.drift_ppm == 0.0;
 }
 
-bool FaultConfig::exec_null() const noexcept {
-  return exec.crash_rate == 0.0 && exec.timeout_rate == 0.0;
-}
-
 bool FaultConfig::is_null() const noexcept {
-  return sensor_null() && hint_null() && exec_null();
+  return sensor_null() && hint_null();
 }
 
 std::vector<std::pair<std::string, std::string>> fault_params(
@@ -57,8 +53,6 @@ std::vector<std::pair<std::string, std::string>> fault_params(
   ms("hint_staleness_ms", config.hint.extra_staleness);
   ms("clock_offset_ms", config.clock.offset);
   rate("clock_drift_ppm", config.clock.drift_ppm);
-  rate("exec_crash_rate", config.exec.crash_rate);
-  rate("exec_timeout_rate", config.exec.timeout_rate);
   return out;
 }
 
@@ -79,8 +73,6 @@ bool set_fault_field(FaultConfig& config, std::string_view key, double value) {
   else if (key == "hint_staleness_ms") config.hint.extra_staleness = ms(value);
   else if (key == "clock_offset_ms") config.clock.offset = ms(value);
   else if (key == "clock_drift_ppm") config.clock.drift_ppm = value;
-  else if (key == "exec_crash_rate") config.exec.crash_rate = value;
-  else if (key == "exec_timeout_rate") config.exec.timeout_rate = value;
   else return false;
   return true;
 }

@@ -59,21 +59,10 @@ struct ClockSkewConfig {
   double drift_ppm = 0.0;   ///< Linear drift, microseconds per second.
 };
 
-/// Faults applied to the execution of sweep repetitions themselves: the
-/// crash/timeout injection the point supervisor uses to exercise its
-/// retry-and-degrade machinery deterministically (see exp::PointSupervisor).
-struct ExecFaultConfig {
-  /// P(one attempt of a repetition aborts as if the worker crashed).
-  double crash_rate = 0.0;
-  /// P(one attempt of a repetition exceeds its deterministic deadline).
-  double timeout_rate = 0.0;
-};
-
 struct FaultConfig {
   SensorFaultConfig sensor{};
   HintFaultConfig hint{};
   ClockSkewConfig clock{};
-  ExecFaultConfig exec{};
 
   /// True when the config injects nothing at all; consumers use this to take
   /// the exact fault-free code path (the byte-identity contract).
@@ -81,8 +70,6 @@ struct FaultConfig {
   bool sensor_null() const noexcept;
   /// True when neither hint faults nor clock skew perturb hint delivery.
   bool hint_null() const noexcept;
-  /// True when no execution faults (crash/timeout injection) are configured.
-  bool exec_null() const noexcept;
 };
 
 /// The config as ordered (key, value) pairs for sh.sweep.v1 JSON params and

@@ -47,22 +47,6 @@ bool FaultPlan::hint_reordered(std::uint64_t index) const noexcept {
       .bernoulli(config_.hint.reorder_rate);
 }
 
-bool FaultPlan::run_crashes(std::uint64_t run_index, int attempt) const noexcept {
-  if (config_.exec.crash_rate <= 0.0) return false;
-  const auto event = util::Rng::derive_seed(
-      run_index, static_cast<std::uint64_t>(attempt));
-  return event_rng(Stream::kExecCrash, event).bernoulli(config_.exec.crash_rate);
-}
-
-bool FaultPlan::run_times_out(std::uint64_t run_index,
-                              int attempt) const noexcept {
-  if (config_.exec.timeout_rate <= 0.0) return false;
-  const auto event = util::Rng::derive_seed(
-      run_index, static_cast<std::uint64_t>(attempt));
-  return event_rng(Stream::kExecTimeout, event)
-      .bernoulli(config_.exec.timeout_rate);
-}
-
 Duration FaultPlan::hint_delay(std::uint64_t index) const noexcept {
   const auto& hint = config_.hint;
   if (hint.delay_mean == 0 && hint.delay_jitter == 0) return 0;

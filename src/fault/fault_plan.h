@@ -38,8 +38,6 @@ class FaultPlan {
     kHintDelay = 0x4502,
     kHintDuplicate = 0x4503,
     kHintReorder = 0x4504,
-    kExecCrash = 0xE801,
-    kExecTimeout = 0xE802,
   };
 
   FaultPlan() = default;
@@ -71,14 +69,6 @@ class FaultPlan {
   bool hint_reordered(std::uint64_t index) const noexcept;
   /// Extra delivery latency (>= 0), excluding any reorder hold.
   Duration hint_delay(std::uint64_t index) const noexcept;
-
-  // Execution-fault decisions for the point supervisor. Indexed by the
-  // repetition's global run index AND the attempt ordinal, so a bounded
-  // retry of the same run draws a fresh decision (a crash on attempt 0
-  // does not doom attempt 1) while staying a pure function of
-  // (seed, run_index, attempt) — byte-identical at any thread count.
-  bool run_crashes(std::uint64_t run_index, int attempt) const noexcept;
-  bool run_times_out(std::uint64_t run_index, int attempt) const noexcept;
 
  private:
   FaultConfig config_{};

@@ -1,5 +1,5 @@
-// Tests for the crash-tolerance layer: checkpoint journal (sh.ckpt.v1),
-// point supervisor, and the engine's resume path.
+// Tests for the crash-tolerance layer: checkpoint journal (sh.ckpt.v1) and
+// the engine's resume path.
 //
 // The corruption cases pin the journal's recovery contract: a truncated
 // tail record, a CRC bit-flip mid-file, and a stale sweep-config hash are
@@ -16,10 +16,7 @@
 #include <vector>
 
 #include "exp/checkpoint.h"
-#include "exp/supervisor.h"
 #include "exp/sweep.h"
-#include "fault/fault_config.h"
-#include "fault/fault_plan.h"
 #include "util/fsio.h"
 #include "util/rng.h"
 
@@ -29,12 +26,9 @@ using sh::exp::CheckpointHeader;
 using sh::exp::CheckpointLoad;
 using sh::exp::CheckpointWriter;
 using sh::exp::MetricSample;
-using sh::exp::PointSupervisor;
 using sh::exp::RunContext;
 using sh::exp::RunOptions;
 using sh::exp::RunRecord;
-using sh::exp::RunStatus;
-using sh::exp::SupervisorConfig;
 using sh::exp::SweepPoint;
 using sh::exp::SweepRunner;
 
@@ -60,8 +54,6 @@ void write_file(const std::string& path, const std::string& bytes) {
 RunRecord make_record(std::uint64_t run_index) {
   RunRecord rec;
   rec.run_index = run_index;
-  rec.status = RunStatus::kOk;
-  rec.attempts = 1;
   rec.sample.set("throughput_mbps", 1.0 / 3.0 + static_cast<double>(run_index));
   rec.sample.set("delivery", 0.1 * static_cast<double>(run_index));
   rec.sample.set("neg_zero", -0.0);
@@ -165,8 +157,6 @@ TEST(JournalTest, RoundTripsRecordsBitExactly) {
     const RunRecord expect = make_record(i);
     const RunRecord& got = load.records[i];
     EXPECT_EQ(got.run_index, expect.run_index);
-    EXPECT_EQ(got.status, expect.status);
-    EXPECT_EQ(got.attempts, expect.attempts);
     ASSERT_EQ(got.sample.entries().size(), expect.sample.entries().size());
     for (std::size_t m = 0; m < expect.sample.entries().size(); ++m) {
       EXPECT_EQ(got.sample.entries()[m].first, expect.sample.entries()[m].first);
@@ -327,210 +317,6 @@ TEST(AtomicWriteTest, FailsCleanlyOnBadDirectory) {
       "/nonexistent-dir-for-sure/x.json", "data"));
 }
 
-// ---- Supervisor -----------------------------------------------------------
-
-SweepPoint one_point() {
-  SweepPoint p;
-  p.label = "p";
-  p.repetitions = 1;
-  return p;
-}
-
-RunContext make_ctx(std::uint64_t run_index) {
-  RunContext ctx;
-  ctx.run_index = run_index;
-  ctx.seed = sh::util::Rng::derive_seed(1, run_index);
-  return ctx;
-}
-
-MetricSample seed_sample(const RunContext& ctx) {
-  MetricSample s;
-  s.set("value", static_cast<double>(ctx.seed % 1000));
-  return s;
-}
-
-TEST(SupervisorTest, DisabledSupervisorIsTransparent) {
-  const PointSupervisor sup(SupervisorConfig{});
-  const auto rec = sup.run_point(
-      one_point(), make_ctx(3),
-      [](const SweepPoint&, const RunContext& ctx) { return seed_sample(ctx); });
-  EXPECT_EQ(rec.status, RunStatus::kOk);
-  EXPECT_EQ(rec.attempts, 1);
-  EXPECT_EQ(rec.run_index, 3u);
-  ASSERT_EQ(rec.sample.entries().size(), 1u);
-}
-
-TEST(SupervisorTest, DisabledSupervisorPropagatesExceptions) {
-  const PointSupervisor sup(SupervisorConfig{});
-  EXPECT_THROW(
-      sup.run_point(one_point(), make_ctx(0),
-                    [](const SweepPoint&, const RunContext&) -> MetricSample {
-                      throw std::runtime_error("boom");
-                    }),
-      std::runtime_error);
-}
-
-TEST(SupervisorTest, RetryAfterThrowReproducesCleanSample) {
-  SupervisorConfig cfg;
-  cfg.max_attempts = 3;
-  const PointSupervisor sup(cfg);
-  int calls = 0;
-  const auto rec = sup.run_point(
-      one_point(), make_ctx(5),
-      [&calls](const SweepPoint&, const RunContext& ctx) {
-        if (++calls == 1) throw std::runtime_error("transient");
-        return seed_sample(ctx);
-      });
-  EXPECT_EQ(rec.status, RunStatus::kRetried);
-  EXPECT_EQ(rec.attempts, 2);
-  // Same ctx — same seed — so the retried sample equals a clean run's.
-  const auto clean = seed_sample(make_ctx(5));
-  ASSERT_EQ(rec.sample.entries().size(), 1u);
-  EXPECT_EQ(rec.sample.entries()[0].second, clean.entries()[0].second);
-}
-
-TEST(SupervisorTest, PersistentThrowExhaustsAttemptsAsFailed) {
-  SupervisorConfig cfg;
-  cfg.max_attempts = 3;
-  const PointSupervisor sup(cfg);
-  int calls = 0;
-  const auto rec = sup.run_point(
-      one_point(), make_ctx(0),
-      [&calls](const SweepPoint&, const RunContext&) -> MetricSample {
-        ++calls;
-        throw std::runtime_error("permanent");
-      });
-  EXPECT_EQ(rec.status, RunStatus::kFailed);
-  EXPECT_EQ(rec.attempts, 3);
-  EXPECT_EQ(calls, 3);
-  EXPECT_TRUE(rec.sample.empty());
-}
-
-TEST(SupervisorTest, InjectedCrashAlwaysFails) {
-  sh::fault::FaultConfig fc;
-  fc.exec.crash_rate = 1.0;
-  const sh::fault::FaultPlan plan(fc, 99);
-  SupervisorConfig cfg;
-  cfg.max_attempts = 2;
-  cfg.plan = &plan;
-  const PointSupervisor sup(cfg);
-  int calls = 0;
-  const auto rec = sup.run_point(
-      one_point(), make_ctx(0),
-      [&calls](const SweepPoint&, const RunContext& ctx) {
-        ++calls;
-        return seed_sample(ctx);
-      });
-  EXPECT_EQ(rec.status, RunStatus::kFailed);
-  EXPECT_EQ(rec.attempts, 2);
-  EXPECT_EQ(calls, 0);  // Injected crashes kill the attempt before any work.
-}
-
-TEST(SupervisorTest, InjectedTimeoutReportsTimedOut) {
-  sh::fault::FaultConfig fc;
-  fc.exec.timeout_rate = 1.0;
-  const sh::fault::FaultPlan plan(fc, 99);
-  SupervisorConfig cfg;
-  cfg.max_attempts = 2;
-  cfg.plan = &plan;
-  const PointSupervisor sup(cfg);
-  const auto rec = sup.run_point(
-      one_point(), make_ctx(0),
-      [](const SweepPoint&, const RunContext& ctx) { return seed_sample(ctx); });
-  EXPECT_EQ(rec.status, RunStatus::kTimedOut);
-  EXPECT_TRUE(rec.sample.empty());
-}
-
-TEST(SupervisorTest, InjectedCrashDecisionsAreAttemptIndexed) {
-  // With a mid-range rate, some (run, attempt) pairs crash and others
-  // don't — and the decision for (run 0, attempt 1) is independent of
-  // (run 0, attempt 0), which is what makes retry-with-same-seed viable.
-  sh::fault::FaultConfig fc;
-  fc.exec.crash_rate = 0.5;
-  const sh::fault::FaultPlan plan(fc, 1234);
-  bool saw_recovery = false;
-  for (std::uint64_t run = 0; run < 64 && !saw_recovery; ++run) {
-    if (plan.run_crashes(run, 0) && !plan.run_crashes(run, 1)) {
-      saw_recovery = true;
-    }
-  }
-  EXPECT_TRUE(saw_recovery);
-  // Pure function: same inputs, same decision, every time.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(plan.run_crashes(7, 0), plan.run_crashes(7, 0));
-    EXPECT_EQ(plan.run_times_out(7, 1), plan.run_times_out(7, 1));
-  }
-}
-
-TEST(SupervisorTest, SimBudgetExceededTimesOutDeterministically) {
-  SupervisorConfig cfg;
-  cfg.max_attempts = 2;
-  cfg.sim_budget_s = 5.0;
-  const PointSupervisor sup(cfg);
-  const auto rec = sup.run_point(
-      one_point(), make_ctx(0),
-      [](const SweepPoint&, const RunContext& ctx) {
-        EXPECT_NE(ctx.meter, nullptr);
-        ctx.meter->charge(10.0);  // Twice the budget.
-        return seed_sample(ctx);
-      });
-  EXPECT_EQ(rec.status, RunStatus::kTimedOut);
-  EXPECT_EQ(rec.attempts, 2);
-  EXPECT_TRUE(rec.sample.empty());
-}
-
-TEST(SupervisorTest, SimBudgetWithinLimitPasses) {
-  SupervisorConfig cfg;
-  cfg.sim_budget_s = 5.0;
-  const PointSupervisor sup(cfg);
-  const auto rec = sup.run_point(
-      one_point(), make_ctx(0),
-      [](const SweepPoint&, const RunContext& ctx) {
-        ctx.meter->charge(2.0);
-        return seed_sample(ctx);
-      });
-  EXPECT_EQ(rec.status, RunStatus::kOk);
-  EXPECT_FALSE(rec.sample.empty());
-}
-
-TEST(SupervisorTest, WallClockWatchdogTripsOnWedgedPoint) {
-  SupervisorConfig cfg;
-  cfg.max_attempts = 2;
-  cfg.watchdog_ms = 1e-9;  // Any real work exceeds a nanosecond-scale budget.
-  const PointSupervisor sup(cfg);
-  const auto rec = sup.run_point(
-      one_point(), make_ctx(0),
-      [](const SweepPoint&, const RunContext& ctx) {
-        double acc = 0.0;
-        // Ordered accumulation; value irrelevant, just burns time.
-        for (int i = 1; i < 2000; ++i) acc += 1.0 / i;
-        auto s = seed_sample(ctx);
-        s.set("acc", acc);
-        return s;
-      });
-  EXPECT_EQ(rec.status, RunStatus::kTimedOut);
-}
-
-TEST(SupervisorTest, WorkMeterBasics) {
-  sh::exp::WorkMeter meter(3.0);
-  EXPECT_FALSE(meter.exceeded());
-  meter.charge(2.0);
-  EXPECT_FALSE(meter.exceeded());
-  meter.charge(1.5);
-  EXPECT_TRUE(meter.exceeded());
-  EXPECT_EQ(meter.used_s(), 3.5);
-  sh::exp::WorkMeter unlimited(0.0);
-  unlimited.charge(1e9);
-  EXPECT_FALSE(unlimited.exceeded());
-}
-
-TEST(SupervisorTest, RunStatusNames) {
-  EXPECT_STREQ(sh::exp::run_status_name(RunStatus::kOk), "ok");
-  EXPECT_STREQ(sh::exp::run_status_name(RunStatus::kRetried), "retried");
-  EXPECT_STREQ(sh::exp::run_status_name(RunStatus::kTimedOut), "timed_out");
-  EXPECT_STREQ(sh::exp::run_status_name(RunStatus::kFailed), "failed");
-}
-
 // ---- Engine-level checkpoint + resume ------------------------------------
 
 /// Deterministic, cheap run function with several metrics.
@@ -638,34 +424,114 @@ TEST(EngineResumeTest, ResumeAfterCorruptionReRunsDamagedRecords) {
   EXPECT_EQ(result.to_json(), clean_json(1));
 }
 
-TEST(EngineResumeTest, SupervisedStatusesSurviveCheckpointRoundTrip) {
-  sh::fault::FaultConfig fc;
-  fc.exec.crash_rate = 0.5;
-  const sh::fault::FaultPlan plan(fc, sh::util::Rng::derive_seed(11, 0xFA17));
+/// Journals the full engine grid at one thread, so records land in run-index
+/// order, and returns the journal's bytes.
+std::string engine_journal_bytes(const std::string& path) {
+  CheckpointWriter w;
+  EXPECT_TRUE(w.create(path, make_header(12)));
   RunOptions opts;
-  opts.supervisor.max_attempts = 3;
-  opts.supervisor.plan = &plan;
+  opts.journal = &w;
+  SweepRunner runner({"ckpt_engine", 11, 1});
+  runner.run(engine_grid(), engine_fn, opts);
+  w.close();
+  return read_file(path);
+}
 
-  const std::string path = temp_path("engine_supervised.ckpt");
+/// Overwrites byte `offset` of record `record`'s payload and re-seals the
+/// frame's CRC, so only the payload check can reject it. Engine-grid records
+/// all have the same size.
+void patch_payload_byte(std::string& bytes, std::size_t record,
+                        std::size_t offset, char value) {
+  const std::size_t frame_size = (bytes.size() - 40) / 12;
+  const std::size_t frame = 40 + frame_size * record;
+  std::uint32_t len = 0;
+  std::memcpy(&len, bytes.data() + frame, sizeof len);
+  ASSERT_EQ(len + 8, frame_size);
+  bytes[frame + 8 + offset] = value;
+  const std::uint32_t crc = sh::exp::crc32(bytes.data() + frame + 8, len);
+  std::memcpy(bytes.data() + frame + 4, &crc, sizeof crc);
+}
+
+/// A CRC-valid record whose status or attempts byte is not the fixed value
+/// (a retried or failed run journaled by an older build) ends the verified
+/// prefix; resuming re-runs it and everything after it.
+void expect_record_rejected_and_rerun(const std::string& name,
+                                      std::size_t offset, char value) {
+  const std::string path = temp_path(name);
+  std::string bytes = engine_journal_bytes(path);
+  patch_payload_byte(bytes, 5, offset, value);
+  write_file(path, bytes);
+
+  const auto load = sh::exp::load_checkpoint(path);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_TRUE(load.truncated);
+  ASSERT_EQ(load.records.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(load.records[i].run_index, i);
+  }
+  EXPECT_EQ(load.dropped_frames, 6u);  // Records 6-11 are intact but dropped.
+
+  int fresh_calls = 0;
+  RunOptions opts;
+  opts.resume = &load.records;
+  SweepRunner runner({"ckpt_engine", 11, 2});
+  const auto result = runner.run(
+      engine_grid(),
+      [&fresh_calls](const SweepPoint& p, const RunContext& ctx) {
+        ++fresh_calls;
+        return engine_fn(p, ctx);
+      },
+      opts);
+  EXPECT_EQ(fresh_calls, 7);  // Record 5 onward re-runs.
+  EXPECT_EQ(result.to_json(), clean_json(1));
+}
+
+TEST(JournalCorruptionTest, StatusByteOtherThanZeroEndsVerifiedPrefix) {
+  expect_record_rejected_and_rerun("status2.ckpt", 8, 2);
+}
+
+TEST(JournalCorruptionTest, AttemptsByteOtherThanOneEndsVerifiedPrefix) {
+  expect_record_rejected_and_rerun("attempts3.ckpt", 9, 3);
+}
+
+TEST(EngineResumeTest, ThrowingRunPropagatesAfterJournalingTheRest) {
+  const std::string path = temp_path("engine_throw.ckpt");
   CheckpointWriter w;
   ASSERT_TRUE(w.create(path, make_header(12)));
+  RunOptions opts;
   opts.journal = &w;
   SweepRunner runner({"ckpt_engine", 11, 2});
-  const auto supervised = runner.run(engine_grid(), engine_fn, opts);
+  EXPECT_THROW(
+      runner.run(
+          engine_grid(),
+          [](const SweepPoint& p, const RunContext& ctx) {
+            if (ctx.run_index == 7) throw std::runtime_error("boom");
+            return engine_fn(p, ctx);
+          },
+          opts),
+      std::runtime_error);
   w.close();
-  EXPECT_TRUE(supervised.supervised);
-  const std::string supervised_json = supervised.to_json();
-  EXPECT_NE(supervised_json.find("run_status"), std::string::npos);
 
-  // Resume from the full journal: statuses replay verbatim, JSON identical.
+  // The batch drained: every other repetition is durable.
   const auto load = sh::exp::load_checkpoint(path);
-  ASSERT_TRUE(load.ok);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_FALSE(load.truncated);
+  ASSERT_EQ(load.records.size(), 11u);
+  for (const auto& rec : load.records) EXPECT_NE(rec.run_index, 7u);
+
+  int fresh_calls = 0;
   RunOptions ropts;
-  ropts.supervisor = opts.supervisor;
   ropts.resume = &load.records;
   SweepRunner runner2({"ckpt_engine", 11, 1});
-  const auto resumed = runner2.run(engine_grid(), engine_fn, ropts);
-  EXPECT_EQ(resumed.to_json(), supervised_json);
+  const auto resumed = runner2.run(
+      engine_grid(),
+      [&fresh_calls](const SweepPoint& p, const RunContext& ctx) {
+        ++fresh_calls;
+        return engine_fn(p, ctx);
+      },
+      ropts);
+  EXPECT_EQ(fresh_calls, 1);
+  EXPECT_EQ(resumed.to_json(), clean_json(1));
 }
 
 TEST(EngineResumeTest, UnsupervisedJsonHasNoRunStatus) {

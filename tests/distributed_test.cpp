@@ -152,13 +152,13 @@ TEST(SuperviseTest, KilledWorkerIsRestartedAndMergeIsByteIdentical) {
   EXPECT_EQ(read_file(out), single_host_json(""));
 }
 
-TEST(SuperviseTest, ExecFaultsAcrossFourShardsMatchSingleHost) {
-  // The CI acceptance scenario: injected crash/timeout faults exercised
-  // under the in-process supervisor, sharded 4 ways across worker
-  // processes. Statuses are pure functions of (run_index, attempt), so the
-  // merge must reproduce the single-host bytes including run_status.
+TEST(SuperviseTest, SensorHintFaultsAcrossFourShardsMatchSingleHost) {
+  // The CI acceptance scenario: sensor and hint faults, sharded 4 ways
+  // across worker processes. Fault schedules are pure functions of the run
+  // index, so the merge must reproduce the single-host bytes, fault params
+  // included.
   const std::string faults =
-      "--fault exec_crash_rate=0.3 --fault exec_timeout_rate=0.2 --retries 3";
+      "--fault hint_drop_rate=0.3 --fault sensor_dropout_rate=0.2";
   const std::string base = temp_path("faults.ckpt");
   const std::string out = temp_path("faults.json");
   const auto r = run_cmd(sweep_cmd() + grid_args(2) + " " + faults +
@@ -338,8 +338,7 @@ TEST(CliHardeningTest, RepeatableFlagsStayRepeatable) {
   const auto r = run_cmd(
       sweep_cmd() +
       " --envs office --mobility mobile --offsets 1 --reps 1 --duration-s 1"
-      " --quiet --fault exec_crash_rate=0.1 --fault exec_timeout_rate=0.1"
-      " --retries 2");
+      " --quiet --fault hint_drop_rate=0.1 --fault sensor_dropout_rate=0.1");
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 

@@ -1,4 +1,6 @@
 // Tests for the 802.11a rate table and airtime math.
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "mac/airtime.h"
@@ -145,11 +147,16 @@ TEST(AirtimeTest, ExpectedTxTimeHalfProbability) {
 
 // Property sweep: a slower rate with perfect delivery can beat a faster rate
 // with poor delivery — the SampleRate decision core.
+// gtest names each case after the raw bytes of its parameter, so the padding
+// is spelled out and zeroed: otherwise stack garbage leaks into the names.
 struct TxTimeCase {
   RateIndex fast;
+  std::int32_t pad0 = 0;
   double p_fast;
   RateIndex slow;
+  std::int32_t pad1 = 0;
 };
+static_assert(sizeof(TxTimeCase) == 24, "test names encode the 24-byte layout");
 class ExpectedTxTimeCrossover : public ::testing::TestWithParam<TxTimeCase> {};
 
 TEST_P(ExpectedTxTimeCrossover, LossyFastRateLosesToCleanSlowRate) {
@@ -160,9 +167,11 @@ TEST_P(ExpectedTxTimeCrossover, LossyFastRateLosesToCleanSlowRate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Crossovers, ExpectedTxTimeCrossover,
-    ::testing::Values(TxTimeCase{7, 0.10, 5}, TxTimeCase{7, 0.20, 4},
-                      TxTimeCase{6, 0.15, 4}, TxTimeCase{5, 0.20, 3},
-                      TxTimeCase{4, 0.25, 2}));
+    ::testing::Values(TxTimeCase{.fast = 7, .p_fast = 0.10, .slow = 5},
+                      TxTimeCase{.fast = 7, .p_fast = 0.20, .slow = 4},
+                      TxTimeCase{.fast = 6, .p_fast = 0.15, .slow = 4},
+                      TxTimeCase{.fast = 5, .p_fast = 0.20, .slow = 3},
+                      TxTimeCase{.fast = 4, .p_fast = 0.25, .slow = 2}));
 
 }  // namespace
 }  // namespace sh::mac

@@ -14,10 +14,8 @@
 // sh.ckpt.v1 file (CRC-framed, fsync'd appends), and --resume replays the
 // verified records instead of recomputing them — a killed run resumed at
 // any thread count produces JSON byte-identical to an uninterrupted one
-// (the kill-resume pin in tests/resume_test.cpp). --retries /
-// --sim-budget-s / --watchdog-ms put each repetition under the point
-// supervisor; exec_crash_rate / exec_timeout_rate fault keys inject
-// deterministic failures to exercise it.
+// (the kill-resume pin in tests/resume_test.cpp). A repetition that throws
+// fails the sweep; its completed siblings are already journaled.
 //
 // Distributed execution: --shard K/N runs only the run indices with
 // run_index % N == K (seeds are independent per run index, so shards never
@@ -46,10 +44,8 @@
 #include "exp/checkpoint.h"
 #include "exp/distributed.h"
 #include "exp/json.h"
-#include "exp/supervisor.h"
 #include "experiment_config.h"
 #include "fault/fault_config.h"
-#include "fault/fault_plan.h"
 #include "util/fsio.h"
 #include "util/stats.h"
 #include "vanet/link_tracker.h"
@@ -90,10 +86,6 @@ struct Options {
   // Crash tolerance.
   std::string checkpoint_path;
   std::string resume_path;
-  int retries = 1;
-  double sim_budget_s = 0.0;
-  double watchdog_ms = 0.0;
-  std::uint64_t kill_after = 0;
   // Distributed execution.
   cli::Shard shard;
   bool shard_set = false;
@@ -103,7 +95,10 @@ struct Options {
   int worker_retries = 3;
   double worker_timeout_s = 0.0;
   double backoff_ms = 200.0;
-  // Supervise-mode test hooks (the distributed kill/hang harness).
+  // Test hooks, kept out of --help. --kill-after-records N raises SIGKILL
+  // once N checkpoint records are durable (the kill-resume harness); the
+  // shard hooks drive the distributed kill/hang harness under --supervise.
+  std::uint64_t kill_after = 0;
   int kill_shard = -1;
   std::uint64_t kill_shard_records = 0;
   bool kill_shard_every = false;
@@ -130,7 +125,7 @@ struct Options {
       "  --quiet          no summary table on stdout\n"
       "  --fault KEY=VAL  set a fault field (repeatable); keys as in\n"
       "                   DESIGN.md, e.g. hint_drop_rate=0.5,\n"
-      "                   exec_crash_rate=0.3, hint_staleness_ms=3000\n"
+      "                   hint_staleness_ms=3000\n"
       "  --hint-max-age-ms M\n"
       "                   staleness watermark for the hint-aware protocol\n"
       "                   when faults are active (default 2000)\n"
@@ -158,15 +153,6 @@ struct Options {
       "  --resume FILE    replay the verified records of FILE, re-run only\n"
       "                   what is missing, and keep journaling to FILE;\n"
       "                   requires the same sweep flags as the killed run\n"
-      "  --retries N      attempts per repetition under the supervisor\n"
-      "                   (default 1 = no retry; retries reuse the seed)\n"
-      "  --sim-budget-s T deterministic per-repetition deadline in simulated\n"
-      "                   seconds (0 = off)\n"
-      "  --watchdog-ms M  wall-clock backstop per repetition attempt\n"
-      "                   (0 = off; trips only on genuinely wedged points)\n"
-      "  --kill-after-records N\n"
-      "                   test hook: raise SIGKILL after N checkpoint\n"
-      "                   records are durable (the kill-resume harness)\n"
       "  --shard K/N      run only run indices with run_index %% N == K\n"
       "                   (0 <= K < N); the journal and partial output are\n"
       "                   shard-tagged, and N journals --merge back into the\n"
@@ -316,13 +302,8 @@ Options parse(int argc, char** argv) {
       o.checkpoint_path = v;
     } else if ((v = arg("--resume")) != nullptr) {
       o.resume_path = v;
-    } else if ((v = arg("--retries")) != nullptr) {
-      o.retries = static_cast<int>(cli::parse_int(kTool, "--retries", v, 1, 100));
-    } else if ((v = arg("--sim-budget-s")) != nullptr) {
-      o.sim_budget_s = cli::parse_double(kTool, "--sim-budget-s", v, 0.0, 1e9);
-    } else if ((v = arg("--watchdog-ms")) != nullptr) {
-      o.watchdog_ms = cli::parse_double(kTool, "--watchdog-ms", v, 0.0, 1e9);
     } else if ((v = arg("--kill-after-records")) != nullptr) {
+      // Test hook: SIGKILL after N durable checkpoint records.
       o.kill_after = cli::parse_u64(kTool, "--kill-after-records", v);
       if (o.kill_after == 0) {
         cli::fail(kTool, "--kill-after-records: value must be >= 1");
@@ -441,7 +422,7 @@ Options parse(int argc, char** argv) {
   if (!o.vanet_vehicles.empty() &&
       (!o.checkpoint_path.empty() || !o.resume_path.empty() ||
        o.shard_set || merge_mode || supervise_mode ||
-       !(o.fault.sensor_null() && o.fault.hint_null() && o.fault.exec_null()))) {
+       !o.fault.is_null())) {
     cli::fail(kTool,
               "--vanet-vehicles: checkpointing, fault injection, and "
               "distributed execution are not wired into the VANET mode; drop "
@@ -624,9 +605,6 @@ exp::RunFn make_channel_run_fn(const Options& o, const Grid& grid) {
   const Duration duration = seconds(o.duration_s);
   return [&o, &grid, duration](const exp::SweepPoint&,
                                const exp::RunContext& ctx) {
-    // Under a supervisor deadline, one repetition costs its simulated
-    // trace length — the deterministic currency of --sim-budget-s.
-    if (ctx.meter != nullptr) ctx.meter->charge(o.duration_s);
     const Cell& cell = grid.cells[ctx.point_index];
     channel::TraceGeneratorConfig cfg;
     cfg.env = cell.env;
@@ -656,14 +634,13 @@ exp::RunFn make_channel_run_fn(const Options& o, const Grid& grid) {
     const channel::PacketFateTrace& trace = *trace_ptr;
     rate::RunConfig run;
     run.workload = rate::Workload::kTcp;
-    // A null sensor/hint fault config must take the exact pre-fault code
-    // path so the JSON stays byte-identical; the faulty path routes the
-    // hint-aware protocol through a MovementFeed seeded from the fault
-    // seed. Exec faults are supervisor-level and don't touch this gate.
+    // A null fault config must take the exact pre-fault code path so the
+    // JSON stays byte-identical; the faulty path routes the hint-aware
+    // protocol through a MovementFeed seeded from the fault seed.
     const std::uint64_t fault_seed =
         util::Rng::derive_seed(cfg.seed, exp::kFaultSeedStream);
     auto sample =
-        (o.fault.sensor_null() && o.fault.hint_null())
+        o.fault.is_null()
             ? bench::protocol_metrics(trace, run)
             : bench::protocol_metrics(
                   trace, run,
@@ -673,17 +650,6 @@ exp::RunFn make_channel_run_fn(const Options& o, const Grid& grid) {
     sample.set("delivery_6m", trace.delivery_ratio(mac::slowest_rate()));
     return sample;
   };
-}
-
-void fill_supervisor_config(const Options& o, const fault::FaultPlan& plan,
-                            exp::SupervisorConfig& cfg) {
-  cfg.max_attempts = o.retries;
-  cfg.sim_budget_s = o.sim_budget_s;
-  cfg.watchdog_ms = o.watchdog_ms;
-  // Exec-fault decisions are keyed by (base seed, run index, attempt), so
-  // crash/timeout schedules are byte-identical at any thread count, across
-  // a kill/resume boundary, and across shard workers.
-  if (!o.fault.exec_null()) cfg.plan = &plan;
 }
 
 void print_channel_table(const exp::SweepResult& result) {
@@ -697,23 +663,6 @@ void print_channel_table(const exp::SweepResult& result) {
                    util::fmt(pr.metrics.summary("delivery_6m").mean, 3)});
   }
   table.print(std::cout);
-}
-
-void print_supervised_totals(const exp::SweepResult& result) {
-  if (!result.supervised) return;
-  exp::StatusCounts totals;
-  for (const auto& pr : result.points) {
-    totals.ok += pr.statuses.ok;
-    totals.retried += pr.statuses.retried;
-    totals.timed_out += pr.statuses.timed_out;
-    totals.failed += pr.statuses.failed;
-  }
-  std::fprintf(stderr,
-               "[supervisor: %llu ok, %llu retried, %llu timed out, %llu failed]\n",
-               static_cast<unsigned long long>(totals.ok),
-               static_cast<unsigned long long>(totals.retried),
-               static_cast<unsigned long long>(totals.timed_out),
-               static_cast<unsigned long long>(totals.failed));
 }
 
 // ---------------------------------------------------------------------------
@@ -731,12 +680,9 @@ int emit_merged(const Options& o, const Grid& grid,
     cli::fail(kTool, "--merge: " + merged.error);
   }
 
-  const fault::FaultPlan exec_plan(
-      o.fault, util::Rng::derive_seed(o.base_seed, exp::kFaultSeedStream));
   exp::RunOptions ropts;
   ropts.resume = &merged.records;
   ropts.replay_only = true;
-  fill_supervisor_config(o, exec_plan, ropts.supervisor);
 
   // Replay-only: the run function never executes, but the runner still
   // aggregates in run-index order and serializes — the single source of
@@ -760,7 +706,6 @@ int emit_merged(const Options& o, const Grid& grid,
                static_cast<unsigned long long>(grid.total -
                                                merged.missing_total),
                static_cast<unsigned long long>(grid.total));
-  print_supervised_totals(result);
   if (!merged.incomplete.empty()) {
     for (const auto& inc : merged.incomplete) {
       std::fprintf(stderr,
@@ -976,9 +921,6 @@ int run_channel_sweep(const Options& o, const Grid& grid) {
     journal.set_kill_after(o.kill_after);
   }
 
-  const fault::FaultPlan exec_plan(
-      o.fault, util::Rng::derive_seed(o.base_seed, exp::kFaultSeedStream));
-  fill_supervisor_config(o, exec_plan, ropts.supervisor);
   if (o.shard_set) {
     ropts.shard_index = o.shard.index;
     ropts.shard_count = o.shard.count;
@@ -1017,7 +959,6 @@ int run_channel_sweep(const Options& o, const Grid& grid) {
                  static_cast<unsigned long long>(cs.misses),
                  static_cast<unsigned long long>(cs.evictions));
   }
-  print_supervised_totals(result);
   if (journal.is_open()) {
     std::fprintf(stderr, "[checkpoint: %llu record(s) appended%s]\n",
                  static_cast<unsigned long long>(journal.records_appended()),
