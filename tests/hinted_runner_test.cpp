@@ -2,6 +2,8 @@
 // (movement bit on ACKs + standalone frames), so staleness is emergent.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "channel/trace_generator.h"
 #include "rate/hint_aware.h"
 #include "rate/hinted_runner.h"
@@ -222,6 +224,75 @@ TEST(HintedRunnerTest, DeterministicPerSeeds) {
       run_trace_with_hint_protocol(setup.trace, setup.scenario, config);
   EXPECT_EQ(a.run.delivered, b.run.delivered);
   EXPECT_DOUBLE_EQ(a.mean_hint_delay_s, b.mean_hint_delay_s);
+}
+
+// ---------------------------------------------------------------------------
+// Exact-value pins of every HintedRunResult field, recorded before the
+// hinted runner moved onto the shared replay loop. The trace is marginal
+// enough that TCP stalls and standalone hint frames both occur.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+struct Pinned {
+  std::uint64_t attempts, delivered, duration_bits, throughput_bits,
+      delivery_ratio_bits, hint_delay_bits;
+  std::size_t detector_transitions, standalone_hint_frames;
+  std::uint64_t sensor_reports_dropped, hint_deliveries_dropped;
+};
+
+void expect_pinned(Workload workload, bool faulty, const Pinned& want) {
+  const auto scenario =
+      sim::MobilityScenario::static_then_walking(10 * kSecond);
+  channel::TraceGeneratorConfig cfg;
+  cfg.env = channel::Environment::kOffice;
+  cfg.scenario = scenario;
+  cfg.seed = 2024;
+  cfg.snr_offset_db = -10.0;
+  const auto trace = channel::generate_trace(cfg);
+  HintedRunConfig config;
+  config.run.workload = workload;
+  if (faulty) {
+    config.fault.sensor.dropout_rate = 0.2;
+    config.fault.hint.drop_rate = 0.3;
+    config.fault_seed = 17;
+  }
+  const auto got = run_trace_with_hint_protocol(trace, scenario, config);
+  EXPECT_EQ(got.run.attempts, want.attempts);
+  EXPECT_EQ(got.run.delivered, want.delivered);
+  EXPECT_EQ(bits(got.run.duration_s), want.duration_bits);
+  EXPECT_EQ(bits(got.run.throughput_mbps), want.throughput_bits);
+  EXPECT_EQ(bits(got.run.delivery_ratio), want.delivery_ratio_bits);
+  EXPECT_EQ(bits(got.mean_hint_delay_s), want.hint_delay_bits);
+  EXPECT_EQ(got.detector_transitions, want.detector_transitions);
+  EXPECT_EQ(got.standalone_hint_frames, want.standalone_hint_frames);
+  EXPECT_EQ(got.sensor_reports_dropped, want.sensor_reports_dropped);
+  EXPECT_EQ(got.hint_deliveries_dropped, want.hint_deliveries_dropped);
+}
+
+TEST(HintedRunnerPinTest, UdpNullFaultValuesAreExact) {
+  expect_pinned(Workload::kUdp, false,
+                {2923, 2258, 0x4024000000000000ULL, 0x3ffce703afb7e910ULL,
+                 0x3fe8b8455d462710ULL, 0x3f86d4c33b539325ULL, 1, 1, 0, 0});
+}
+
+TEST(HintedRunnerPinTest, TcpNullFaultValuesAreExact) {
+  expect_pinned(Workload::kTcp, false,
+                {1565, 1532, 0x4024000000000000ULL, 0x3ff39c0ebedfa440ULL,
+                 0x3fef5342e74cb7ddULL, 0x3fd4cbfb15b573ebULL, 1, 4, 0, 0});
+}
+
+TEST(HintedRunnerPinTest, UdpFaultyValuesAreExact) {
+  expect_pinned(Workload::kUdp, true,
+                {2923, 2258, 0x4024000000000000ULL, 0x3ffce703afb7e910ULL,
+                 0x3fe8b8455d462710ULL, 0x3f82bc2fc69728a6ULL, 1, 1, 1018,
+                 680});
+}
+
+TEST(HintedRunnerPinTest, TcpFaultyValuesAreExact) {
+  expect_pinned(Workload::kTcp, true,
+                {1565, 1532, 0x4024000000000000ULL, 0x3ff39c0ebedfa440ULL,
+                 0x3fef5342e74cb7ddULL, 0x3fd4ab367a0f9097ULL, 1, 4, 1018,
+                 472});
 }
 
 }  // namespace

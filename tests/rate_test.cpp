@@ -1,6 +1,8 @@
 // Tests for the rate-adaptation protocols and the trace-driven runner.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "channel/trace_generator.h"
 #include "rate/hint_aware.h"
 #include "rate/rapid_sample.h"
@@ -611,6 +613,42 @@ TEST(TraceRunnerTest, LossFloorCostsThroughputViaRetries) {
   noisy.iid_loss_floor = 0.10;
   EXPECT_GT(run_trace(a, trace, clean).throughput_mbps,
             run_trace(b, trace, noisy).throughput_mbps);
+}
+
+// ---------------------------------------------------------------------------
+// Exact-value pins of the replay loop, recorded before run_trace and the
+// hinted runner shared one loop. Any change to the order of adapter calls,
+// RNG draws or time updates moves these numbers.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+channel::PacketFateTrace pinned_trace() {
+  TraceGeneratorConfig cfg;
+  cfg.env = Environment::kOffice;
+  cfg.scenario = sim::MobilityScenario::static_then_walking(10 * kSecond);
+  cfg.seed = 2024;
+  cfg.snr_offset_db = -10.0;
+  return generate_trace(cfg);
+}
+
+TEST(TraceRunnerPinTest, UdpValuesAreExact) {
+  RunConfig run;
+  run.workload = Workload::kUdp;
+  SampleRateAdapter adapter;
+  const auto result = run_trace(adapter, pinned_trace(), run);
+  EXPECT_EQ(result.attempts, 2552U);
+  EXPECT_EQ(result.delivered, 1893U);
+  EXPECT_EQ(bits(result.throughput_mbps), 0x3ff83afb7e90ff97ULL);
+}
+
+TEST(TraceRunnerPinTest, TcpValuesAreExact) {
+  RunConfig run;
+  run.workload = Workload::kTcp;
+  SampleRateAdapter adapter;
+  const auto result = run_trace(adapter, pinned_trace(), run);
+  EXPECT_EQ(result.attempts, 1190U);
+  EXPECT_EQ(result.delivered, 1160U);
+  EXPECT_EQ(bits(result.throughput_mbps), 0x3fedb22d0e560419ULL);
 }
 
 // ---------------------------------------------------------------------------
