@@ -45,7 +45,7 @@ int main() {
   for (const auto& trace : traces) {
     rate::RapidSample rs;
     rapid.add(rate::run_trace(rs, trace, run).throughput_mbps);
-    sample.add(best_samplerate_mbps(trace, run));
+    sample.add(rate::best_samplerate_mbps(trace, run));
   }
   table.add_row({"(RapidSample only)", util::fmt(rapid.mean(), 2)});
   table.add_row({"(SampleRate only)", util::fmt(sample.mean(), 2)});

@@ -95,13 +95,9 @@ int main(int argc, char** argv) {
         fault::FaultConfig fc;
         fc.hint.drop_rate = cell.drop_rate;
         fc.hint.extra_staleness = seconds(cell.staleness_ms / 1000.0);
-        exp::MetricSample sample =
-            fc.is_null()
-                ? protocol_metrics(trace, run)
-                : protocol_metrics(trace, run,
-                                   faulty_truth_query(trace, fc,
-                                                      ctx.fault_seed,
-                                                      kHintMaxAge));
+        exp::MetricSample sample = protocol_metrics(
+            trace, run,
+            faulty_truth_query(trace, fc, ctx.fault_seed, kHintMaxAge));
         // The degradation floor is default-parameter SampleRate — exactly
         // what a HintAware adapter becomes once its feed dies (not the
         // post-facto best-window variant reported as sample_mbps).

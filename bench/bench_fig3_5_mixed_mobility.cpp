@@ -34,7 +34,8 @@ int main() {
       const auto trace = channel::generate_trace(cfg);
       rate::RunConfig run;
       run.workload = rate::Workload::kTcp;
-      run_all_protocols(trace, run, means);
+      means.add(
+          rate::run_paper_protocols(trace, run, lagged_truth_query(trace)));
     }
     const double base = means.hint.mean();
     table.add_row({std::string(channel::environment_name(env)),

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
         const auto trace = channel::generate_trace(cfg);
         rate::RunConfig run;
         run.workload = rate::Workload::kTcp;
-        return protocol_metrics(trace, run);
+        return protocol_metrics(trace, run, lagged_truth_query(trace));
       });
 
   util::Table table({"environment", "RapidSample", "SampleRate", "RRAA",

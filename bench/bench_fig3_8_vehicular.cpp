@@ -41,7 +41,7 @@ int main() {
     run.snr_lag = 10 * kMillisecond;
     // Open-road 5.8 GHz is nearly interference-free compared to the office.
     run.iid_loss_floor = 0.005;
-    run_all_protocols(trace, run, means);
+    means.add(rate::run_paper_protocols(trace, run, lagged_truth_query(trace)));
   }
 
   const double base = means.rapid.mean();

@@ -6,8 +6,11 @@
 // reproducible.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/trace_generator.h"
@@ -62,36 +65,26 @@ inline channel::TraceGeneratorConfig topo_config(bool mobile,
   return cfg;
 }
 
-/// Runs SampleRate with the paper's favourable treatment: the averaging
-/// window is chosen per trace, post facto (§3.4 states this bias openly).
-inline double best_samplerate_mbps(const channel::PacketFateTrace& trace,
-                                   const rate::RunConfig& run) {
-  double best = 0.0;
-  for (const double window_s : {2.0, 5.0, 10.0}) {
-    rate::SampleRateAdapter::Params params;
-    params.window = seconds(window_s);
-    rate::SampleRateAdapter adapter(params, util::Rng(42));
-    best = std::max(best, rate::run_trace(adapter, trace, run).throughput_mbps);
-  }
-  return best;
-}
-
-/// Ground-truth-driven movement query with realistic hint latency.
-inline rate::HintAwareRateAdapter::MovingQuery lagged_truth_query(
+/// Ground-truth-driven movement query with realistic hint latency. It
+/// always answers, so the adapter never enters its degraded path.
+inline rate::HintAwareRateAdapter::HintQuery lagged_truth_query(
     const channel::PacketFateTrace& trace, Duration latency = kHintLatency) {
-  return [&trace, latency](Time t) {
-    return trace.moving(std::max<Time>(0, t - latency));
-  };
+  return rate::HintAwareRateAdapter::HintQuery{
+      [&trace, latency](Time t) -> std::optional<bool> {
+        return trace.moving(std::max<Time>(0, t - latency));
+      }};
 }
 
 /// Ground truth pushed through a faulty hint pipeline (fault::MovementFeed):
 /// updates every 100 ms with `latency`, subject to the plan's hint faults,
 /// answering nullopt once nothing fresh has survived for `max_age`. The
-/// query carries per-trace state, so build one per adapter.
+/// query carries per-trace state, so build one per adapter. A null config
+/// is the clean path: lagged_truth_query, byte for byte.
 inline rate::HintAwareRateAdapter::HintQuery faulty_truth_query(
     const channel::PacketFateTrace& trace, const fault::FaultConfig& config,
     std::uint64_t fault_seed, Duration max_age = 2 * kSecond,
     Duration latency = kHintLatency) {
+  if (config.is_null()) return lagged_truth_query(trace, latency);
   fault::MovementFeed::Params params;
   params.latency = latency;
   params.max_age = max_age;
@@ -105,62 +98,32 @@ inline rate::HintAwareRateAdapter::HintQuery faulty_truth_query(
 /// Mean throughput of each protocol over a batch of traces.
 struct ProtocolMeans {
   util::RunningStats hint, rapid, sample, rraa, rbar, charm;
+
+  void add(const rate::ProtocolThroughputs& mbps) {
+    hint.add(mbps.hint);
+    rapid.add(mbps.rapid);
+    sample.add(mbps.sample);
+    rraa.add(mbps.rraa);
+    rbar.add(mbps.rbar);
+    charm.add(mbps.charm);
+  }
 };
 
-inline void run_all_protocols(const channel::PacketFateTrace& trace,
-                              const rate::RunConfig& run, ProtocolMeans& out) {
-  rate::HintAwareRateAdapter hint(lagged_truth_query(trace), util::Rng(42));
-  out.hint.add(rate::run_trace(hint, trace, run).throughput_mbps);
-  rate::RapidSample rapid;
-  out.rapid.add(rate::run_trace(rapid, trace, run).throughput_mbps);
-  out.sample.add(best_samplerate_mbps(trace, run));
-  rate::Rraa rraa;
-  out.rraa.add(rate::run_trace(rraa, trace, run).throughput_mbps);
-  rate::Rbar rbar;
-  out.rbar.add(rate::run_trace(rbar, trace, run).throughput_mbps);
-  rate::Charm charm;
-  out.charm.add(rate::run_trace(charm, trace, run).throughput_mbps);
-}
-
-/// One repetition's throughput of every protocol, as sweep-engine metrics.
-/// Runs the same adapters in the same order as run_all_protocols, so a
-/// ported bench aggregates the exact numbers its serial version printed.
-inline exp::MetricSample protocol_metrics(const channel::PacketFateTrace& trace,
-                                          const rate::RunConfig& run) {
-  exp::MetricSample sample;
-  rate::HintAwareRateAdapter hint(lagged_truth_query(trace), util::Rng(42));
-  sample.set("hint_mbps", rate::run_trace(hint, trace, run).throughput_mbps);
-  rate::RapidSample rapid;
-  sample.set("rapid_mbps", rate::run_trace(rapid, trace, run).throughput_mbps);
-  sample.set("sample_mbps", best_samplerate_mbps(trace, run));
-  rate::Rraa rraa;
-  sample.set("rraa_mbps", rate::run_trace(rraa, trace, run).throughput_mbps);
-  rate::Rbar rbar;
-  sample.set("rbar_mbps", rate::run_trace(rbar, trace, run).throughput_mbps);
-  rate::Charm charm;
-  sample.set("charm_mbps", rate::run_trace(charm, trace, run).throughput_mbps);
-  return sample;
-}
-
-/// protocol_metrics with the hint adapter driven by an explicit (possibly
-/// faulty, possibly nullopt-answering) query. Baseline protocols are
-/// untouched — faults live in the hint path, not the channel — so the gap
-/// to `sample_mbps` is exactly the cost of degraded hints.
+/// One repetition's throughput of every protocol (rate::run_paper_protocols)
+/// as sweep-engine metrics. `hint_query` is lagged_truth_query for the
+/// paper's setup or faulty_truth_query for a degraded hint path.
 inline exp::MetricSample protocol_metrics(
     const channel::PacketFateTrace& trace, const rate::RunConfig& run,
     rate::HintAwareRateAdapter::HintQuery hint_query) {
+  const auto mbps =
+      rate::run_paper_protocols(trace, run, std::move(hint_query));
   exp::MetricSample sample;
-  rate::HintAwareRateAdapter hint(std::move(hint_query), util::Rng(42));
-  sample.set("hint_mbps", rate::run_trace(hint, trace, run).throughput_mbps);
-  rate::RapidSample rapid;
-  sample.set("rapid_mbps", rate::run_trace(rapid, trace, run).throughput_mbps);
-  sample.set("sample_mbps", best_samplerate_mbps(trace, run));
-  rate::Rraa rraa;
-  sample.set("rraa_mbps", rate::run_trace(rraa, trace, run).throughput_mbps);
-  rate::Rbar rbar;
-  sample.set("rbar_mbps", rate::run_trace(rbar, trace, run).throughput_mbps);
-  rate::Charm charm;
-  sample.set("charm_mbps", rate::run_trace(charm, trace, run).throughput_mbps);
+  sample.set("hint_mbps", mbps.hint);
+  sample.set("rapid_mbps", mbps.rapid);
+  sample.set("sample_mbps", mbps.sample);
+  sample.set("rraa_mbps", mbps.rraa);
+  sample.set("rbar_mbps", mbps.rbar);
+  sample.set("charm_mbps", mbps.charm);
   return sample;
 }
 

@@ -36,4 +36,12 @@ std::string_view environment_name(Environment env) noexcept {
   return environment_profile(env).name;
 }
 
+std::optional<Environment> environment_from_name(std::string_view name) {
+  for (const auto env : {Environment::kOffice, Environment::kHallway,
+                         Environment::kOutdoor, Environment::kVehicular}) {
+    if (environment_name(env) == name) return env;
+  }
+  return std::nullopt;
+}
+
 }  // namespace sh::channel

@@ -3,6 +3,7 @@
 // outdoor pavement, and vehicular drive-by.
 #pragma once
 
+#include <optional>
 #include <string_view>
 
 #include "channel/fading.h"
@@ -37,5 +38,7 @@ struct EnvironmentProfile {
 const EnvironmentProfile& environment_profile(Environment env) noexcept;
 
 std::string_view environment_name(Environment env) noexcept;
+/// Inverse of environment_name(); nullopt for an unknown name.
+std::optional<Environment> environment_from_name(std::string_view name);
 
 }  // namespace sh::channel

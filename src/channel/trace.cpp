@@ -56,9 +56,12 @@ std::optional<PacketFateTrace> PacketFateTrace::load(std::istream& is) {
   if (magic != "sensorhints-trace v1") return std::nullopt;
   Duration slot_duration = 0;
   std::size_t count = 0;
-  if (!(is >> slot_duration >> count) || slot_duration <= 0) return std::nullopt;
+  if (!(is >> slot_duration >> count) || slot_duration <= 0 || count == 0) {
+    return std::nullopt;
+  }
+  // The header's count is not trusted for an up-front reserve: a corrupt
+  // count must fail on the missing slots, not in the allocator.
   PacketFateTrace trace(slot_duration);
-  trace.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     unsigned mask = 0;
     float snr = 0.0F;

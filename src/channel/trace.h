@@ -56,7 +56,8 @@ class PacketFateTrace {
   double delivery_ratio(mac::RateIndex rate) const;
 
   /// Plain-text serialization (one line per slot: fates bitmask, snr,
-  /// moving). Round-trips exactly.
+  /// moving). Round-trips exactly. load() rejects a bad header, an empty
+  /// trace and fewer slots than the header declares.
   void save(std::ostream& os) const;
   static std::optional<PacketFateTrace> load(std::istream& is);
 

@@ -17,11 +17,6 @@ std::string fmt_ms(Duration d) {
 
 }  // namespace
 
-bool FaultConfig::sensor_null() const noexcept {
-  return sensor.dropout_rate == 0.0 && sensor.stuck_rate == 0.0 &&
-         sensor.noise_rate == 0.0;
-}
-
 bool FaultConfig::hint_null() const noexcept {
   return hint.drop_rate == 0.0 && hint.duplicate_rate == 0.0 &&
          hint.reorder_rate == 0.0 && hint.delay_mean == 0 &&
@@ -30,7 +25,8 @@ bool FaultConfig::hint_null() const noexcept {
 }
 
 bool FaultConfig::is_null() const noexcept {
-  return sensor_null() && hint_null();
+  return sensor.dropout_rate == 0.0 && sensor.stuck_rate == 0.0 &&
+         sensor.noise_rate == 0.0 && hint_null();
 }
 
 std::vector<std::pair<std::string, std::string>> fault_params(

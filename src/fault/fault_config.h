@@ -67,7 +67,6 @@ struct FaultConfig {
   /// True when the config injects nothing at all; consumers use this to take
   /// the exact fault-free code path (the byte-identity contract).
   bool is_null() const noexcept;
-  bool sensor_null() const noexcept;
   /// True when neither hint faults nor clock skew perturb hint delivery.
   bool hint_null() const noexcept;
 };

@@ -1,16 +1,15 @@
 #include "rate/hinted_runner.h"
 
-#include <algorithm>
-#include <cassert>
+#include <optional>
 #include <vector>
 
 #include "fault/fault_plan.h"
 #include "fault/faulty_sensors.h"
-#include "mac/airtime.h"
+#include "mac/rates.h"
 #include "rate/hint_aware.h"
+#include "rate/replay.h"
 #include "sensors/accelerometer.h"
 #include "sensors/movement_detector.h"
-#include "transport/tcp.h"
 #include "util/rng.h"
 
 namespace sh::rate {
@@ -30,30 +29,14 @@ struct DetectorTimeline {
   }
 };
 
-DetectorTimeline run_detector(const sim::MobilityScenario& scenario,
-                              Duration until, std::uint64_t seed) {
-  sensors::AccelerometerSim accel(scenario, util::Rng(seed));
-  sensors::MovementDetector detector;
-  DetectorTimeline timeline;
-  bool last = false;
-  timeline.transitions.emplace_back(0, false);
-  while (accel.now() < until) {
-    const auto report = accel.next();
-    const bool moving = detector.update(report);
-    if (moving != last) {
-      timeline.transitions.emplace_back(report.timestamp, moving);
-      last = moving;
-    }
-  }
-  return timeline;
-}
-
-/// Detector over a faulty accelerometer: dropped reports never reach the
+/// The receiver's accelerometer stepped through the movement detector up to
+/// `until`, behind the plan's sensor faults: dropped reports never reach the
 /// detector (a gap in the stream), stuck/noisy reports do and mislead it.
-DetectorTimeline run_detector_faulty(const sim::MobilityScenario& scenario,
-                                     Duration until, std::uint64_t seed,
-                                     const fault::FaultPlan& plan,
-                                     std::uint64_t* reports_dropped) {
+/// With a null sensor config the stream is the plain simulator's.
+DetectorTimeline run_detector(const sim::MobilityScenario& scenario,
+                              Duration until, std::uint64_t seed,
+                              const fault::FaultPlan& plan,
+                              std::uint64_t* reports_dropped) {
   fault::FaultyAccelerometer accel(
       sensors::AccelerometerSim(scenario, util::Rng(seed)), plan);
   sensors::MovementDetector detector;
@@ -78,15 +61,11 @@ DetectorTimeline run_detector_faulty(const sim::MobilityScenario& scenario,
 HintedRunResult run_trace_with_hint_protocol(
     const channel::PacketFateTrace& trace,
     const sim::MobilityScenario& scenario, const HintedRunConfig& config) {
-  assert(!trace.empty());
-  const Time end = trace.duration();
   HintedRunResult result;
   const fault::FaultPlan plan(config.fault, config.fault_seed);
   const DetectorTimeline detector =
-      config.fault.sensor_null()
-          ? run_detector(scenario, end, config.sensor_seed)
-          : run_detector_faulty(scenario, end, config.sensor_seed, plan,
-                                &result.sensor_reports_dropped);
+      run_detector(scenario, trace.duration(), config.sensor_seed, plan,
+                   &result.sensor_reports_dropped);
 
   // Sender-side view of the receiver's movement hint, updated only when a
   // frame actually crosses the link.
@@ -132,10 +111,7 @@ HintedRunResult run_trace_with_hint_protocol(
             return sender_view;
           }},
       util::Rng(42));
-  util::Rng floor_rng(config.run.floor_seed);
   util::Rng standalone_rng(config.sensor_seed ^ 0x5A5A);
-  transport::TcpModel tcp(config.run.tcp);
-  Time t = 0;
   Time last_hint_carried = 0;
 
   auto maybe_standalone = [&](Time now) {
@@ -151,70 +127,22 @@ HintedRunResult run_trace_with_hint_protocol(
     }
   };
 
-  auto attempt_packet = [&](Time& now) {
-    if (config.run.provide_snr) {
-      adapter.on_snr(now,
-                     trace.snr_db(std::max<Time>(0, now - config.run.snr_lag)));
-    }
-    adapter.on_packet_start(now);
-    for (int retry = 0; retry <= config.run.link_retries; ++retry) {
-      const mac::RateIndex r = adapter.pick_rate(now);
-      const bool delivered = trace.delivered(now, r) &&
-                             !floor_rng.bernoulli(config.run.iid_loss_floor);
-      adapter.on_result(now, r, delivered);
-      now += mac::attempt_duration(r, config.run.payload_bytes, retry);
-      if (delivered) {
-        // The link-layer ACK carries the receiver's CURRENT movement bit.
-        deliver_hint_to_sender(now);
-        last_hint_carried = now;
-        return true;
-      }
-    }
-    return false;
-  };
-
-  if (config.run.workload == Workload::kUdp) {
-    while (t < end) {
-      ++result.run.attempts;
-      if (attempt_packet(t)) ++result.run.delivered;
-      maybe_standalone(t);
-    }
-  } else {
-    while (t < end) {
-      if (tcp.stalled(t)) {
-        // During the stall the receiver may push standalone hint frames.
-        while (t < std::min(end, tcp.stall_until())) {
-          maybe_standalone(t);
-          t += config.standalone_after / 2;
-        }
-        if (t >= end) break;
-      }
-      const int window = tcp.window();
-      int delivered_in_round = 0;
-      int sent = 0;
-      for (int i = 0; i < window && t < end; ++i) {
-        ++sent;
-        ++result.run.attempts;
-        if (attempt_packet(t)) {
-          ++delivered_in_round;
-          ++result.run.delivered;
-        }
-      }
-      tcp.on_round(t, sent, delivered_in_round);
-      maybe_standalone(t);
-    }
-  }
-
-  result.run.duration_s = to_seconds(end);
-  result.run.throughput_mbps =
-      static_cast<double>(result.run.delivered) *
-      static_cast<double>(config.run.payload_bytes) * 8.0 /
-      result.run.duration_s / 1e6;
-  result.run.delivery_ratio =
-      result.run.attempts == 0
-          ? 0.0
-          : static_cast<double>(result.run.delivered) /
-                static_cast<double>(result.run.attempts);
+  result.run = replay(
+      adapter, trace, config.run,
+      ReplayHooks{
+          [&](Time now) {
+            // The link-layer ACK carries the receiver's CURRENT movement bit.
+            deliver_hint_to_sender(now);
+            last_hint_carried = now;
+          },
+          maybe_standalone,
+          [&](Time& t, Time until) {
+            // During the stall the receiver may push standalone hint frames.
+            while (t < until) {
+              maybe_standalone(t);
+              t += config.standalone_after / 2;
+            }
+          }});
 
   // Hint-delay accounting over genuine transitions (skip the initial state).
   double delay_sum = 0.0;
@@ -224,8 +152,7 @@ HintedRunResult run_trace_with_hint_protocol(
     delay_sum += to_seconds(reflected_at[i] - detector.transitions[i].first);
     ++counted;
   }
-  result.detector_transitions =
-      detector.transitions.empty() ? 0 : detector.transitions.size() - 1;
+  result.detector_transitions = detector.transitions.size() - 1;
   result.mean_hint_delay_s = counted > 0 ? delay_sum / counted : 0.0;
   return result;
 }

@@ -39,8 +39,8 @@ struct HintedRunConfig {
   /// Receiver emits a standalone hint frame when its hint changed and no
   /// ACK has carried it for this long.
   Duration standalone_after = 100 * kMillisecond;
-  /// Fault injection. A null config takes the exact legacy code path:
-  /// sensor faults perturb the receiver's accelerometer stream (dropout
+  /// Fault injection; a null config changes no result. Sensor faults
+  /// perturb the receiver's accelerometer stream (dropout
   /// starves the detector), hint drop faults eat individual hint carriages
   /// (ACK bit or standalone frame), and extra_staleness backdates the
   /// sender's view watermark.

@@ -1,0 +1,102 @@
+// The one trace replay loop behind run_trace() and the full-protocol runner
+// (hinted_runner.cpp), which hooks the hint path into it.
+#pragma once
+
+#include <algorithm>
+#include <cassert>
+
+#include "channel/trace.h"
+#include "mac/airtime.h"
+#include "rate/trace_runner.h"
+#include "transport/tcp.h"
+#include "util/rng.h"
+
+namespace sh::rate {
+
+/// The points where replay() hands control to its caller, as callables:
+///  * on_ack(now): an attempt was delivered; `now` is after its airtime;
+///  * after_send(now): after each UDP packet and after each TCP round;
+///  * cross_stall(t, until): carries `t` across a TCP stall ending at
+///    `until` (already clipped to the trace's end), leaving `t >= until`.
+template <class OnAck, class AfterSend, class CrossStall>
+struct ReplayHooks {
+  OnAck on_ack;
+  AfterSend after_send;
+  CrossStall cross_stall;
+};
+
+/// Replays `trace` through `adapter` (not reset first) with a saturating
+/// UDP workload or the TCP model's windowed rounds and timeouts.
+template <class Adapter, class Hooks>
+RunResult replay(Adapter& adapter, const channel::PacketFateTrace& trace,
+                 const RunConfig& config, Hooks hooks) {
+  assert(!trace.empty());
+  const Time end = trace.duration();
+  RunResult result;
+  util::Rng floor_rng(config.floor_seed);
+  Time t = 0;
+
+  // One packet: an SNR observation, then a link-layer retry chain whose
+  // attempts each consult the adapter, take the recorded fate (plus the iid
+  // loss floor), report it and charge airtime. Returns whether it delivered.
+  const auto send_packet = [&] {
+    if (config.provide_snr) {
+      adapter.on_snr(t, trace.snr_db(std::max<Time>(0, t - config.snr_lag)));
+    }
+    adapter.on_packet_start(t);
+    for (int retry = 0; retry <= config.link_retries; ++retry) {
+      const mac::RateIndex r = adapter.pick_rate(t);
+      const bool delivered = trace.delivered(t, r) &&
+                             !floor_rng.bernoulli(config.iid_loss_floor);
+      adapter.on_result(t, r, delivered);
+      t += mac::attempt_duration(r, config.payload_bytes, retry);
+      if (delivered) {
+        hooks.on_ack(t);
+        return true;
+      }
+    }
+    return false;
+  };
+
+  if (config.workload == Workload::kUdp) {
+    while (t < end) {
+      ++result.attempts;
+      if (send_packet()) ++result.delivered;
+      hooks.after_send(t);
+    }
+  } else {
+    transport::TcpModel tcp(config.tcp);
+    while (t < end) {
+      if (tcp.stalled(t)) {
+        hooks.cross_stall(t, std::min(end, tcp.stall_until()));
+        if (t >= end) break;
+      }
+      const int window = tcp.window();
+      int delivered_in_round = 0;
+      int sent = 0;
+      for (int i = 0; i < window && t < end; ++i) {
+        ++sent;
+        ++result.attempts;
+        if (send_packet()) {
+          ++delivered_in_round;
+          ++result.delivered;
+        }
+      }
+      tcp.on_round(t, sent, delivered_in_round);
+      hooks.after_send(t);
+    }
+  }
+
+  result.duration_s = to_seconds(end);
+  result.throughput_mbps = static_cast<double>(result.delivered) *
+                           static_cast<double>(config.payload_bytes) * 8.0 /
+                           result.duration_s / 1e6;
+  result.delivery_ratio =
+      result.attempts == 0
+          ? 0.0
+          : static_cast<double>(result.delivered) /
+                static_cast<double>(result.attempts);
+  return result;
+}
+
+}  // namespace sh::rate

@@ -2,11 +2,14 @@
 // ns-3 setup, §3.3): replays a PacketFateTrace, charging realistic 802.11a
 // airtime per attempt and letting the recorded per-slot fates decide delivery.
 // Supports a saturating UDP workload and the simplified TCP model (whose
-// timeouts punish bursty mobile loss, as observed in §3.5).
+// timeouts punish bursty mobile loss, as observed in §3.5). On top of it sits
+// the paper's protocol comparison (§3.4-3.5, Figs 3-5 to 3-8), which the
+// comparison benches, shsweep and shbench evaluate through.
 #pragma once
 
 #include "channel/trace.h"
 #include "rate/adapter.h"
+#include "rate/hint_aware.h"
 #include "transport/tcp.h"
 
 namespace sh::rate {
@@ -49,5 +52,29 @@ struct RunResult {
 /// The adapter is NOT reset first; callers wanting a fresh run call reset().
 RunResult run_trace(RateAdapter& adapter, const channel::PacketFateTrace& trace,
                     const RunConfig& config = {});
+
+/// Throughput (Mbit/s) of each protocol on one trace.
+struct ProtocolThroughputs {
+  double hint = 0.0;
+  double rapid = 0.0;
+  double sample = 0.0;  ///< SampleRate at its best window.
+  double rraa = 0.0;
+  double rbar = 0.0;
+  double charm = 0.0;
+};
+
+/// Runs SampleRate with the paper's favourable treatment: the averaging
+/// window (2, 5 or 10 s) is chosen per trace, post facto (§3.4 states this
+/// bias openly).
+double best_samplerate_mbps(const channel::PacketFateTrace& trace,
+                            const RunConfig& run);
+
+/// Runs HintAware, RapidSample, SampleRate (best window), RRAA, RBAR and
+/// CHARM on `trace`, in that order, each from a fresh adapter. `hint_query`
+/// drives HintAware only: the baselines take no hints, so with a degraded
+/// query the gap between `hint` and `sample` is the cost of the degradation.
+ProtocolThroughputs run_paper_protocols(
+    const channel::PacketFateTrace& trace, const RunConfig& run,
+    HintAwareRateAdapter::HintQuery hint_query);
 
 }  // namespace sh::rate

@@ -276,6 +276,16 @@ TEST(PacketFateTraceTest, LoadRejectsGarbage) {
   EXPECT_FALSE(PacketFateTrace::load(truncated).has_value());
 }
 
+TEST(PacketFateTraceTest, LoadRejectsEmptyAndOversizedHeaders) {
+  // Zero slots would replay as 0/0 throughput; a huge count must fail on
+  // the missing slots instead of reserving memory for them.
+  std::stringstream empty("sensorhints-trace v1\n5000 0\n");
+  EXPECT_FALSE(PacketFateTrace::load(empty).has_value());
+  std::stringstream huge("sensorhints-trace v1\n5000 99999999999999999\n"
+                         "1 2 0\n");
+  EXPECT_FALSE(PacketFateTrace::load(huge).has_value());
+}
+
 // ---------------------------------------------------------------------------
 // ChannelRealization / generate_trace
 

@@ -1,7 +1,9 @@
 // Tests for the rate-adaptation protocols and the trace-driven runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "channel/trace_generator.h"
 #include "rate/hint_aware.h"
@@ -649,6 +651,71 @@ TEST(TraceRunnerPinTest, TcpValuesAreExact) {
   EXPECT_EQ(result.attempts, 1190U);
   EXPECT_EQ(result.delivered, 1160U);
   EXPECT_EQ(bits(result.throughput_mbps), 0x3fedb22d0e560419ULL);
+}
+
+// ---------------------------------------------------------------------------
+// The paper's protocol evaluator: each field is exactly a fresh replay.
+
+HintAwareRateAdapter::HintQuery lagged_query(
+    const channel::PacketFateTrace& trace) {
+  return HintAwareRateAdapter::HintQuery{
+      [&trace](Time t) -> std::optional<bool> {
+        return trace.moving(std::max<Time>(0, t - 150 * kMillisecond));
+      }};
+}
+
+TEST(PaperProtocolsTest, EachFieldMatchesAFreshReplay) {
+  const auto trace = pinned_trace();
+  for (const Workload workload : {Workload::kUdp, Workload::kTcp}) {
+    RunConfig run;
+    run.workload = workload;
+    const auto got = run_paper_protocols(trace, run, lagged_query(trace));
+    HintAwareRateAdapter hint(lagged_query(trace), util::Rng(42));
+    EXPECT_EQ(got.hint, run_trace(hint, trace, run).throughput_mbps);
+    RapidSample rapid;
+    EXPECT_EQ(got.rapid, run_trace(rapid, trace, run).throughput_mbps);
+    EXPECT_EQ(got.sample, best_samplerate_mbps(trace, run));
+    Rraa rraa;
+    EXPECT_EQ(got.rraa, run_trace(rraa, trace, run).throughput_mbps);
+    Rbar rbar;
+    EXPECT_EQ(got.rbar, run_trace(rbar, trace, run).throughput_mbps);
+    Charm charm;
+    EXPECT_EQ(got.charm, run_trace(charm, trace, run).throughput_mbps);
+  }
+}
+
+TEST(PaperProtocolsTest, SampleIsTheBestOfThreeWindows) {
+  const auto trace = pinned_trace();
+  RunConfig run;
+  run.workload = Workload::kTcp;
+  double best = 0.0;
+  for (const double window_s : {2.0, 5.0, 10.0}) {
+    SampleRateAdapter::Params params;
+    params.window = seconds(window_s);
+    SampleRateAdapter adapter(params, util::Rng(42));
+    best = std::max(best, run_trace(adapter, trace, run).throughput_mbps);
+  }
+  EXPECT_EQ(best_samplerate_mbps(trace, run), best);
+  EXPECT_EQ(run_paper_protocols(trace, run, lagged_query(trace)).sample,
+            best);
+}
+
+TEST(PaperProtocolsTest, OnlyHintAwareHearsTheQuery) {
+  // A query that never answers degrades HintAware; the baselines take no
+  // hints and must not move.
+  const auto trace = pinned_trace();
+  RunConfig run;
+  run.workload = Workload::kTcp;
+  const auto lagged = run_paper_protocols(trace, run, lagged_query(trace));
+  const auto silent = run_paper_protocols(
+      trace, run, HintAwareRateAdapter::HintQuery{[](Time) {
+        return std::optional<bool>();
+      }});
+  EXPECT_EQ(silent.rapid, lagged.rapid);
+  EXPECT_EQ(silent.sample, lagged.sample);
+  EXPECT_EQ(silent.rraa, lagged.rraa);
+  EXPECT_EQ(silent.rbar, lagged.rbar);
+  EXPECT_EQ(silent.charm, lagged.charm);
 }
 
 // ---------------------------------------------------------------------------

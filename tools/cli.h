@@ -1,7 +1,7 @@
 // Shared checked argument parsing for the sh* CLIs.
 //
-// Both shsweep and shbench route every numeric flag and every unknown
-// argument through these helpers so the two tools fail identically: exit
+// shsweep, shbench, shtrace and the benches route every numeric flag and
+// every unknown argument through these helpers so they fail identically: exit
 // code 2 and a single-line diagnostic on stderr naming the offending flag
 // and value (not a usage wall the user has to diff against their command
 // line). Values are validated strictly — trailing junk, empty strings, and

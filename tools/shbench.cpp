@@ -276,7 +276,8 @@ BenchResult bench_sweep_points(const Options& o) {
           const auto trace = channel::generate_trace(cfg);
           rate::RunConfig run;
           run.workload = rate::Workload::kTcp;
-          return bench::protocol_metrics(trace, run);
+          return bench::protocol_metrics(trace, run,
+                                         bench::lagged_truth_query(trace));
         });
     g_sink = result.summary("office/mobile/offset0", "hint_mbps").mean;
   });

@@ -192,10 +192,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 channel::Environment env_from_name(const std::string& name) {
-  if (name == "office") return channel::Environment::kOffice;
-  if (name == "hallway") return channel::Environment::kHallway;
-  if (name == "outdoor") return channel::Environment::kOutdoor;
-  if (name == "vehicular") return channel::Environment::kVehicular;
+  if (const auto env = channel::environment_from_name(name)) return *env;
   cli::fail(kTool, "--envs: unknown environment '" + name +
                        "' (expected office, hallway, outdoor, vehicular)");
 }
@@ -634,19 +631,14 @@ exp::RunFn make_channel_run_fn(const Options& o, const Grid& grid) {
     const channel::PacketFateTrace& trace = *trace_ptr;
     rate::RunConfig run;
     run.workload = rate::Workload::kTcp;
-    // A null fault config must take the exact pre-fault code path so the
-    // JSON stays byte-identical; the faulty path routes the hint-aware
-    // protocol through a MovementFeed seeded from the fault seed.
+    // With faults, the hint-aware protocol hears ground truth through a
+    // MovementFeed seeded from the fault seed.
     const std::uint64_t fault_seed =
         util::Rng::derive_seed(cfg.seed, exp::kFaultSeedStream);
-    auto sample =
-        o.fault.is_null()
-            ? bench::protocol_metrics(trace, run)
-            : bench::protocol_metrics(
-                  trace, run,
-                  bench::faulty_truth_query(
-                      trace, o.fault, fault_seed,
-                      seconds(cell.hint_max_age_ms / 1000.0)));
+    auto sample = bench::protocol_metrics(
+        trace, run,
+        bench::faulty_truth_query(trace, o.fault, fault_seed,
+                                  seconds(cell.hint_max_age_ms / 1000.0)));
     sample.set("delivery_6m", trace.delivery_ratio(mac::slowest_rate()));
     return sample;
   };

@@ -13,28 +13,37 @@
 //                rraa|rbar|charm] [--workload tcp|udp]
 //       Replays the trace through a rate-adaptation protocol and reports
 //       throughput.
+//
+// Flags follow tools/cli.h: an unknown, duplicated or malformed flag exits 2
+// with one line on stderr; an unreadable or invalid trace, or a failed
+// --out, exits 1.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "channel/trace_generator.h"
 #include "channel/trace_stats.h"
+#include "cli.h"
 #include "rate/hint_aware.h"
 #include "rate/rapid_sample.h"
 #include "rate/rraa.h"
 #include "rate/sample_rate.h"
 #include "rate/snr_adapters.h"
 #include "rate/trace_runner.h"
+#include "util/fsio.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 using namespace sh;
 
 namespace {
+
+constexpr const char* kTool = "shtrace";
 
 int usage() {
   std::fprintf(stderr,
@@ -48,44 +57,39 @@ int usage() {
   return 2;
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int start) {
-  std::map<std::string, std::string> flags;
+/// Parses `argv[start..]` as `--flag value` pairs into `flags`, whose keys
+/// are the accepted flags and whose values are the defaults.
+void parse_flags(int argc, char** argv, int start,
+                 std::map<std::string, const char*>& flags) {
+  cli::FlagTracker seen(kTool);
   for (int i = start; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      flags[key.substr(2)] = argv[++i];
-    } else {
-      flags["_positional"] = key;
+    const auto it = flags.find(argv[i]);
+    if (it == flags.end()) cli::unknown_option(kTool, argv[i]);
+    seen.note(argv[i]);
+    if (i + 1 >= argc) {
+      cli::fail(kTool, std::string(argv[i]) + ": missing value");
     }
+    it->second = argv[++i];
   }
-  return flags;
 }
 
-std::optional<channel::Environment> parse_env(const std::string& name) {
-  if (name == "office") return channel::Environment::kOffice;
-  if (name == "hallway") return channel::Environment::kHallway;
-  if (name == "outdoor") return channel::Environment::kOutdoor;
-  if (name == "vehicular") return channel::Environment::kVehicular;
-  return std::nullopt;
-}
-
-int cmd_gen(const std::map<std::string, std::string>& flags) {
+int cmd_gen(int argc, char** argv) {
+  std::map<std::string, const char*> flags{
+      {"--env", "office"}, {"--scenario", "mixed"}, {"--seconds", "20"},
+      {"--seed", "1"},     {"--offset", "0"},       {"--shadow-scale", "1"},
+      {"--out", nullptr}};
+  parse_flags(argc, argv, 2, flags);
   channel::TraceGeneratorConfig config;
-  const auto env_it = flags.find("env");
-  if (env_it != flags.end()) {
-    const auto env = parse_env(env_it->second);
-    if (!env) {
-      std::fprintf(stderr, "unknown env '%s'\n", env_it->second.c_str());
-      return 2;
-    }
-    config.env = *env;
+  const auto env = channel::environment_from_name(flags["--env"]);
+  if (!env) {
+    cli::fail(kTool, std::string("--env: unknown environment '") +
+                         flags["--env"] +
+                         "' (expected office, hallway, outdoor, vehicular)");
   }
-  const double seconds_total =
-      flags.count("seconds") ? std::stod(flags.at("seconds")) : 20.0;
-  const Duration total = seconds(seconds_total);
-  const std::string scenario =
-      flags.count("scenario") ? flags.at("scenario") : "mixed";
+  config.env = *env;
+  const Duration total = seconds(
+      cli::parse_double(kTool, "--seconds", flags["--seconds"], 0.01, 1e5));
+  const std::string scenario = flags["--scenario"];
   if (scenario == "static") {
     config.scenario = sim::MobilityScenario::all_static(total);
   } else if (scenario == "mobile") {
@@ -95,39 +99,41 @@ int cmd_gen(const std::map<std::string, std::string>& flags) {
   } else if (scenario == "vehicle") {
     config.scenario = sim::MobilityScenario::all_vehicle(total);
   } else {
-    std::fprintf(stderr, "unknown scenario '%s'\n", scenario.c_str());
-    return 2;
+    cli::fail(kTool, "--scenario: unknown scenario '" + scenario +
+                         "' (expected static, mobile, mixed, vehicle)");
   }
-  if (flags.count("seed")) config.seed = std::stoull(flags.at("seed"));
-  if (flags.count("offset"))
-    config.snr_offset_db = std::stod(flags.at("offset"));
-  if (flags.count("shadow-scale"))
-    config.shadow_sigma_scale = std::stod(flags.at("shadow-scale"));
-  if (!flags.count("out")) {
-    std::fprintf(stderr, "gen requires --out FILE\n");
-    return 2;
-  }
+  config.seed = cli::parse_u64(kTool, "--seed", flags["--seed"]);
+  config.snr_offset_db =
+      cli::parse_double(kTool, "--offset", flags["--offset"], -100, 100);
+  config.shadow_sigma_scale =
+      cli::parse_double(kTool, "--shadow-scale", flags["--shadow-scale"], 0,
+                        100);
+  const char* out_path = flags["--out"];
+  if (out_path == nullptr) cli::fail(kTool, "gen requires --out FILE");
 
   const auto trace = channel::generate_trace(config);
-  std::ofstream out(flags.at("out"));
-  if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", flags.at("out").c_str());
+  std::ostringstream out;
+  trace.save(out);
+  if (!util::atomic_write_file(out_path, out.str())) {
+    std::fprintf(stderr, "%s: cannot write '%s'\n", kTool, out_path);
     return 1;
   }
-  trace.save(out);
   std::printf("wrote %zu slots (%.1f s) to %s\n", trace.size(),
-              to_seconds(trace.duration()), flags.at("out").c_str());
+              to_seconds(trace.duration()), out_path);
   return 0;
 }
 
 std::optional<channel::PacketFateTrace> load_trace(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
+    std::fprintf(stderr, "%s: cannot read '%s'\n", kTool, path.c_str());
     return std::nullopt;
   }
   auto trace = channel::PacketFateTrace::load(in);
-  if (!trace) std::fprintf(stderr, "'%s' is not a valid trace\n", path.c_str());
+  if (!trace) {
+    std::fprintf(stderr, "%s: '%s' is not a valid trace\n", kTool,
+                 path.c_str());
+  }
   return trace;
 }
 
@@ -169,18 +175,17 @@ int cmd_stat(const std::string& path) {
   return 0;
 }
 
-int cmd_run(const std::string& path,
-            const std::map<std::string, std::string>& flags) {
-  const auto trace = load_trace(path);
-  if (!trace) return 1;
-
-  const std::string name =
-      flags.count("protocol") ? flags.at("protocol") : "hintaware";
+int cmd_run(int argc, char** argv) {
+  std::map<std::string, const char*> flags{{"--protocol", "hintaware"},
+                                           {"--workload", "tcp"}};
+  parse_flags(argc, argv, 3, flags);
+  const std::string name = flags["--protocol"];
+  std::optional<channel::PacketFateTrace> trace;
   std::unique_ptr<rate::RateAdapter> adapter;
   if (name == "hintaware") {
     adapter = std::make_unique<rate::HintAwareRateAdapter>(
-        [trace = *trace](Time t) {
-          return trace.moving(std::max<Time>(0, t - 150 * kMillisecond));
+        [&trace](Time t) {
+          return trace->moving(std::max<Time>(0, t - 150 * kMillisecond));
         },
         util::Rng(42));
   } else if (name == "rapidsample") {
@@ -194,17 +199,22 @@ int cmd_run(const std::string& path,
   } else if (name == "charm") {
     adapter = std::make_unique<rate::Charm>();
   } else {
-    std::fprintf(stderr, "unknown protocol '%s'\n", name.c_str());
-    return 2;
+    cli::fail(kTool, "--protocol: unknown protocol '" + name +
+                         "' (expected hintaware, rapidsample, samplerate, "
+                         "rraa, rbar, charm)");
   }
-
   rate::RunConfig run;
-  if (flags.count("workload") && flags.at("workload") == "udp") {
-    run.workload = rate::Workload::kUdp;
+  const std::string workload = flags["--workload"];
+  if (workload == "tcp" || workload == "udp") {
+    run.workload =
+        workload == "udp" ? rate::Workload::kUdp : rate::Workload::kTcp;
   } else {
-    run.workload = rate::Workload::kTcp;
+    cli::fail(kTool, "--workload: unknown workload '" + workload +
+                         "' (expected tcp, udp)");
   }
 
+  trace = load_trace(argv[2]);
+  if (!trace) return 1;
   const auto result = rate::run_trace(*adapter, *trace, run);
   std::printf("%s over %s: %.2f Mbps (%llu/%llu packets, delivery %.3f)\n",
               name.c_str(),
@@ -221,14 +231,10 @@ int cmd_run(const std::string& path,
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  if (command == "gen") return cmd_gen(parse_flags(argc, argv, 2));
-  if (command == "stat") {
-    if (argc < 3) return usage();
-    return cmd_stat(argv[2]);
-  }
-  if (command == "run") {
-    if (argc < 3) return usage();
-    return cmd_run(argv[2], parse_flags(argc, argv, 3));
-  }
-  return usage();
+  if (command == "gen") return cmd_gen(argc, argv);
+  if (argc < 3) return usage();
+  if (command == "run") return cmd_run(argc, argv);
+  if (command != "stat") return usage();
+  if (argc > 3) cli::unknown_option(kTool, argv[3]);
+  return cmd_stat(argv[2]);
 }
