@@ -17,14 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "channel/trace_generator.h"
+#include "util/memo_cache.h"
 
 namespace sh::channel {
 
@@ -36,26 +33,26 @@ namespace sh::channel {
 /// guaranteed to produce the same trace.
 std::string trace_config_key(const TraceGeneratorConfig& config);
 
+/// Appends every mobility phase (duration, state, speed) of `scenario` to
+/// `key`; the scenario part of trace_config_key, shared with other caches
+/// keyed on a scenario.
+void append_scenario_key(std::string& key,
+                         const sim::MobilityScenario& scenario);
+
 /// Stable 64-bit FNV-1a hash of trace_config_key. shbench records it in
 /// sh.bench.v1 output so a benchmark is only ever compared against a
 /// baseline generated from the identical workload.
 std::uint64_t trace_config_hash(const TraceGeneratorConfig& config);
 
-/// Bounded, thread-safe trace cache. Concurrent get_or_generate calls for
-/// the same config generate the trace once: the first caller publishes an
-/// in-flight future under the lock and generates outside it, later callers
-/// wait on that future instead of duplicating the work.
-class TraceCache {
+/// Bounded, thread-safe trace cache: util::MemoCache keyed by
+/// trace_config_key. Concurrent get_or_generate calls for the same config
+/// generate the trace once.
+class TraceCache : public util::MemoCache<PacketFateTrace> {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-
   /// `capacity` is the maximum number of resident traces; 0 disables
   /// caching (get_or_generate degenerates to plain generate_trace).
-  explicit TraceCache(std::size_t capacity = kDefaultCapacity);
+  explicit TraceCache(std::size_t capacity = kDefaultCapacity)
+      : MemoCache(capacity) {}
 
   /// Returns the trace for `config`, generating it on first request.
   /// Exceptions from generate_trace (invalid config) propagate to every
@@ -63,31 +60,7 @@ class TraceCache {
   std::shared_ptr<const PacketFateTrace> get_or_generate(
       const TraceGeneratorConfig& config);
 
-  std::size_t capacity() const;
-  /// Shrinking below the resident count evicts oldest-first immediately.
-  void set_capacity(std::size_t capacity);
-  std::size_t size() const;
-  void clear();
-  Stats stats() const;
-
   static constexpr std::size_t kDefaultCapacity = 64;
-
- private:
-  using TracePtr = std::shared_ptr<const PacketFateTrace>;
-
-  struct Entry {
-    std::shared_future<TracePtr> future;
-    std::list<std::string>::iterator order_it;
-  };
-
-  /// Pops insertion-order entries until size() < capacity. Requires lock.
-  void evict_to_capacity_locked();
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::map<std::string, Entry> entries_;
-  std::list<std::string> order_;  ///< FIFO eviction order (oldest first).
-  Stats stats_;
 };
 
 /// The process-wide cache behind generate_trace_cached.

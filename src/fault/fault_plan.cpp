@@ -3,23 +3,38 @@
 #include <algorithm>
 
 namespace sh::fault {
+namespace {
+
+std::uint64_t stream_seed(std::uint64_t seed, FaultPlan::Stream stream) {
+  return util::Rng::derive_seed(seed, static_cast<std::uint64_t>(stream));
+}
+
+}  // namespace
+
+FaultPlan::FaultPlan(FaultConfig config, std::uint64_t seed)
+    : config_(config),
+      clock_(config.clock),
+      seed_(seed),
+      sensor_drop_seed_(stream_seed(seed, Stream::kSensorDrop)),
+      sensor_stuck_seed_(stream_seed(seed, Stream::kSensorStuck)),
+      sensor_noise_seed_(stream_seed(seed, Stream::kSensorNoise)),
+      hint_drop_seed_(stream_seed(seed, Stream::kHintDrop)),
+      hint_duplicate_seed_(stream_seed(seed, Stream::kHintDuplicate)),
+      hint_reorder_seed_(stream_seed(seed, Stream::kHintReorder)) {}
 
 bool FaultPlan::sensor_report_dropped(std::uint64_t index) const noexcept {
   if (config_.sensor.dropout_rate <= 0.0) return false;
-  return event_rng(Stream::kSensorDrop, index)
-      .bernoulli(config_.sensor.dropout_rate);
+  return decide(sensor_drop_seed_, index, config_.sensor.dropout_rate);
 }
 
 bool FaultPlan::sensor_stuck_begins(std::uint64_t index) const noexcept {
   if (config_.sensor.stuck_rate <= 0.0) return false;
-  return event_rng(Stream::kSensorStuck, index)
-      .bernoulli(config_.sensor.stuck_rate);
+  return decide(sensor_stuck_seed_, index, config_.sensor.stuck_rate);
 }
 
 bool FaultPlan::sensor_noise_begins(std::uint64_t index) const noexcept {
   if (config_.sensor.noise_rate <= 0.0) return false;
-  return event_rng(Stream::kSensorNoise, index)
-      .bernoulli(config_.sensor.noise_rate);
+  return decide(sensor_noise_seed_, index, config_.sensor.noise_rate);
 }
 
 double FaultPlan::sensor_noise(std::uint64_t index, int axis) const noexcept {
@@ -32,19 +47,17 @@ double FaultPlan::sensor_noise(std::uint64_t index, int axis) const noexcept {
 
 bool FaultPlan::hint_dropped(std::uint64_t index) const noexcept {
   if (config_.hint.drop_rate <= 0.0) return false;
-  return event_rng(Stream::kHintDrop, index).bernoulli(config_.hint.drop_rate);
+  return decide(hint_drop_seed_, index, config_.hint.drop_rate);
 }
 
 bool FaultPlan::hint_duplicated(std::uint64_t index) const noexcept {
   if (config_.hint.duplicate_rate <= 0.0) return false;
-  return event_rng(Stream::kHintDuplicate, index)
-      .bernoulli(config_.hint.duplicate_rate);
+  return decide(hint_duplicate_seed_, index, config_.hint.duplicate_rate);
 }
 
 bool FaultPlan::hint_reordered(std::uint64_t index) const noexcept {
   if (config_.hint.reorder_rate <= 0.0) return false;
-  return event_rng(Stream::kHintReorder, index)
-      .bernoulli(config_.hint.reorder_rate);
+  return decide(hint_reorder_seed_, index, config_.hint.reorder_rate);
 }
 
 Duration FaultPlan::hint_delay(std::uint64_t index) const noexcept {

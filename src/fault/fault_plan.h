@@ -40,16 +40,16 @@ class FaultPlan {
     kHintReorder = 0x4504,
   };
 
-  FaultPlan() = default;
-  FaultPlan(FaultConfig config, std::uint64_t seed)
-      : config_(config), clock_(config.clock), seed_(seed) {}
+  FaultPlan() : FaultPlan(FaultConfig{}, 0) {}
+  FaultPlan(FaultConfig config, std::uint64_t seed);
 
   const FaultConfig& config() const noexcept { return config_; }
   const FaultClock& clock() const noexcept { return clock_; }
   std::uint64_t seed() const noexcept { return seed_; }
 
   /// Generator owning all randomness of event `index` on `stream`;
-  /// independent of every other (stream, index) pair.
+  /// independent of every other (stream, index) pair. The single-draw
+  /// decisions below equal event_rng(stream, index).bernoulli(rate).
   util::Rng event_rng(Stream stream, std::uint64_t index) const noexcept {
     return util::Rng(util::Rng::derive_seed(
         util::Rng::derive_seed(seed_, static_cast<std::uint64_t>(stream)),
@@ -71,9 +71,25 @@ class FaultPlan {
   Duration hint_delay(std::uint64_t index) const noexcept;
 
  private:
+  /// event_rng(stream, index).bernoulli(p) for a stream whose base seed
+  /// derive_seed(seed_, stream) is `stream_seed`, without building the
+  /// generator.
+  static bool decide(std::uint64_t stream_seed, std::uint64_t index,
+                     double p) noexcept {
+    return util::Rng::first_uniform(
+               util::Rng::derive_seed(stream_seed, index)) < p;
+  }
+
   FaultConfig config_{};
   FaultClock clock_{};
   std::uint64_t seed_ = 0;
+  // Base seeds of the single-draw streams, derived once per plan.
+  std::uint64_t sensor_drop_seed_ = 0;
+  std::uint64_t sensor_stuck_seed_ = 0;
+  std::uint64_t sensor_noise_seed_ = 0;
+  std::uint64_t hint_drop_seed_ = 0;
+  std::uint64_t hint_duplicate_seed_ = 0;
+  std::uint64_t hint_reorder_seed_ = 0;
 };
 
 }  // namespace sh::fault

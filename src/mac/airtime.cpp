@@ -52,6 +52,16 @@ Duration attempt_duration(RateIndex index, int payload_bytes, int retry,
          timing.sifs + ack_duration(index, timing);
 }
 
+AttemptDurationTable::AttemptDurationTable(int payload_bytes, int max_retry) {
+  assert(max_retry >= 0 && max_retry <= kMaxRetry);
+  durations_.reserve(static_cast<std::size_t>(max_retry + 1) * kNumRates);
+  for (int retry = 0; retry <= max_retry; ++retry) {
+    for (RateIndex r = slowest_rate(); r <= fastest_rate(); ++r) {
+      durations_.push_back(attempt_duration(r, payload_bytes, retry));
+    }
+  }
+}
+
 Duration expected_tx_time(RateIndex index, int payload_bytes, double p,
                           int max_retries, const MacTiming& timing) {
   assert(p >= 0.0 && p <= 1.0);

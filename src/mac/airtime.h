@@ -5,6 +5,9 @@
 // attempt, so this math is shared library-wide.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "mac/rates.h"
 #include "util/time.h"
 
@@ -37,6 +40,27 @@ Duration ack_duration(RateIndex data_rate, const MacTiming& timing = {});
 /// we approximate by the ACK duration).
 Duration attempt_duration(RateIndex index, int payload_bytes, int retry = 0,
                           const MacTiming& timing = {});
+
+/// Largest `retry` attempt_duration accepts at the default timing: its
+/// contention window (cw_min + 1) << retry overflows an int beyond it.
+inline constexpr int kMaxRetry = 26;
+
+/// attempt_duration (default timing) for every rate and every retry up to
+/// `max_retry` at one payload size, computed once. Trace replay charges each
+/// attempt's airtime from it instead of recomputing the pure function.
+class AttemptDurationTable {
+ public:
+  /// Requires 0 <= max_retry <= kMaxRetry.
+  AttemptDurationTable(int payload_bytes, int max_retry);
+
+  Duration operator()(RateIndex index, int retry) const noexcept {
+    return durations_[static_cast<std::size_t>(retry) * kNumRates +
+                      static_cast<std::size_t>(index)];
+  }
+
+ private:
+  std::vector<Duration> durations_;  ///< Row-major by retry.
+};
 
 /// Expected total time to deliver a frame given per-attempt success
 /// probability p and a maximum of `max_retries` retransmissions, following

@@ -1,8 +1,11 @@
 #include "rate/hinted_runner.h"
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "channel/trace_cache.h"
 #include "fault/fault_plan.h"
 #include "fault/faulty_sensors.h"
 #include "mac/rates.h"
@@ -15,19 +18,27 @@
 namespace sh::rate {
 namespace {
 
-/// The receiver's detector output precomputed as a step timeline.
-struct DetectorTimeline {
-  std::vector<std::pair<Time, bool>> transitions;  // (time, new value)
+/// Resident timelines in detector_cache(). A sweep revisits one detector
+/// input once per sender-side setting, a few items apart.
+constexpr std::size_t kDetectorCacheCapacity = 64;
 
-  bool value_at(Time t) const {
-    bool value = false;
-    for (const auto& [when, v] : transitions) {
-      if (when > t) break;
-      value = v;
-    }
-    return value;
-  }
-};
+std::string detector_key(const sim::MobilityScenario& scenario,
+                         Duration until, const HintedRunConfig& config) {
+  const auto& sensor = config.fault.sensor;
+  std::string key;
+  key.reserve(128);
+  channel::append_scenario_key(key, scenario);
+  util::append_key_i64(key, until);
+  util::append_key_u64(key, config.sensor_seed);
+  util::append_key_u64(key, config.fault_seed);
+  util::append_key_double(key, sensor.dropout_rate);
+  util::append_key_double(key, sensor.stuck_rate);
+  util::append_key_i64(key, sensor.stuck_duration);
+  util::append_key_double(key, sensor.noise_rate);
+  util::append_key_i64(key, sensor.noise_duration);
+  util::append_key_double(key, sensor.noise_sigma);
+  return key;
+}
 
 /// The receiver's accelerometer stepped through the movement detector up to
 /// `until`, behind the plan's sensor faults: dropped reports never reach the
@@ -35,8 +46,7 @@ struct DetectorTimeline {
 /// With a null sensor config the stream is the plain simulator's.
 DetectorTimeline run_detector(const sim::MobilityScenario& scenario,
                               Duration until, std::uint64_t seed,
-                              const fault::FaultPlan& plan,
-                              std::uint64_t* reports_dropped) {
+                              const fault::FaultPlan& plan) {
   fault::FaultyAccelerometer accel(
       sensors::AccelerometerSim(scenario, util::Rng(seed)), plan);
   sensors::MovementDetector detector;
@@ -52,20 +62,45 @@ DetectorTimeline run_detector(const sim::MobilityScenario& scenario,
       last = moving;
     }
   }
-  *reports_dropped = accel.dropped();
+  timeline.sensor_reports_dropped = accel.dropped();
   return timeline;
 }
 
 }  // namespace
 
+bool DetectorTimeline::value_at(Time t) const {
+  bool value = false;
+  for (const auto& [when, v] : transitions) {
+    if (when > t) break;
+    value = v;
+  }
+  return value;
+}
+
+DetectorCache& detector_cache() {
+  // Process-wide by design: the cache is mutex-guarded and keyed by every
+  // input of the detector, so shards can only ever observe the same
+  // bit-identical timeline a solo run would compute.
+  static DetectorCache cache(kDetectorCacheCapacity);  // shlint:allow(T1)
+  return cache;
+}
+
 HintedRunResult run_trace_with_hint_protocol(
     const channel::PacketFateTrace& trace,
     const sim::MobilityScenario& scenario, const HintedRunConfig& config) {
+  if (config.standalone_after < 2) {
+    throw std::invalid_argument(
+        "run_trace_with_hint_protocol: standalone_after must be >= 2 us");
+  }
   HintedRunResult result;
   const fault::FaultPlan plan(config.fault, config.fault_seed);
-  const DetectorTimeline detector =
-      run_detector(scenario, trace.duration(), config.sensor_seed, plan,
-                   &result.sensor_reports_dropped);
+  const auto timeline = detector_cache().get_or_compute(
+      detector_key(scenario, trace.duration(), config), [&] {
+        return run_detector(scenario, trace.duration(), config.sensor_seed,
+                            plan);
+      });
+  const DetectorTimeline& detector = *timeline;
+  result.sensor_reports_dropped = detector.sensor_reports_dropped;
 
   // Sender-side view of the receiver's movement hint, updated only when a
   // frame actually crosses the link.

@@ -13,10 +13,15 @@
 // of being injected as a parameter.
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "channel/trace.h"
 #include "fault/fault_config.h"
 #include "rate/trace_runner.h"
 #include "sim/mobility.h"
+#include "util/memo_cache.h"
 
 namespace sh::rate {
 
@@ -37,7 +42,8 @@ struct HintedRunConfig {
   /// Seed for the receiver's accelerometer stream.
   std::uint64_t sensor_seed = 1;
   /// Receiver emits a standalone hint frame when its hint changed and no
-  /// ACK has carried it for this long.
+  /// ACK has carried it for this long. Must be at least 2 µs: TCP stalls
+  /// are crossed in steps of half of it.
   Duration standalone_after = 100 * kMillisecond;
   /// Fault injection; a null config changes no result. Sensor faults
   /// perturb the receiver's accelerometer stream (dropout
@@ -54,9 +60,31 @@ struct HintedRunConfig {
   Duration hint_max_age = 0;
 };
 
+/// The receiver's accelerometer stepped through the movement detector,
+/// behind the sensor faults, as a step timeline.
+struct DetectorTimeline {
+  /// (time, new value), starting with (0, false).
+  std::vector<std::pair<Time, bool>> transitions;
+  /// Reports the sensor fault layer dropped before the detector.
+  std::uint64_t sensor_reports_dropped = 0;
+
+  bool value_at(Time t) const;
+};
+
+/// The process-wide memo of detector timelines behind
+/// run_trace_with_hint_protocol. The detector is a pure function of the
+/// mobility scenario's phases, trace.duration(), sensor_seed, fault_seed
+/// and config.fault.sensor, which is exactly its key; hint faults,
+/// hint_max_age and the RunConfig act only on the sender side and are not
+/// part of it, so runs that differ only there share one timeline.
+using DetectorCache = util::MemoCache<DetectorTimeline>;
+DetectorCache& detector_cache();
+
 /// Replays `trace` through the full hint-aware stack. `scenario` must be
 /// the same mobility script the trace was generated from (the paper's
-/// receiver carries both the radio and the accelerometer).
+/// receiver carries both the radio and the accelerometer). Throws
+/// std::invalid_argument for a standalone_after below 2 µs or a
+/// link_retries outside [0, mac::kMaxRetry].
 HintedRunResult run_trace_with_hint_protocol(
     const channel::PacketFateTrace& trace,
     const sim::MobilityScenario& scenario, const HintedRunConfig& config);

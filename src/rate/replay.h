@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "channel/trace.h"
 #include "mac/airtime.h"
@@ -26,12 +28,22 @@ struct ReplayHooks {
 };
 
 /// Replays `trace` through `adapter` (not reset first) with a saturating
-/// UDP workload or the TCP model's windowed rounds and timeouts.
+/// UDP workload or the TCP model's windowed rounds and timeouts. Throws
+/// std::invalid_argument unless 0 <= config.link_retries <= mac::kMaxRetry
+/// (a negative count never advances time; a larger one overflows the
+/// contention window).
 template <class Adapter, class Hooks>
 RunResult replay(Adapter& adapter, const channel::PacketFateTrace& trace,
                  const RunConfig& config, Hooks hooks) {
   assert(!trace.empty());
+  if (config.link_retries < 0 || config.link_retries > mac::kMaxRetry) {
+    throw std::invalid_argument(
+        "replay: link_retries must be in [0, " +
+        std::to_string(mac::kMaxRetry) + "]");
+  }
   const Time end = trace.duration();
+  const mac::AttemptDurationTable airtime(config.payload_bytes,
+                                          config.link_retries);
   RunResult result;
   util::Rng floor_rng(config.floor_seed);
   Time t = 0;
@@ -49,7 +61,7 @@ RunResult replay(Adapter& adapter, const channel::PacketFateTrace& trace,
       const bool delivered = trace.delivered(t, r) &&
                              !floor_rng.bernoulli(config.iid_loss_floor);
       adapter.on_result(t, r, delivered);
-      t += mac::attempt_duration(r, config.payload_bytes, retry);
+      t += airtime(r, retry);
       if (delivered) {
         hooks.on_ack(t);
         return true;

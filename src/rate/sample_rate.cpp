@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <limits>
-#include <vector>
 
 #include "mac/airtime.h"
 
@@ -12,11 +11,22 @@ SampleRateAdapter::SampleRateAdapter(Params params, util::Rng rng)
     : params_(params), rng_(rng) {
   assert(params_.window > 0);
   assert(params_.sample_every >= 2);
+  for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
+    lossless_us_[static_cast<std::size_t>(r)] = static_cast<double>(
+        mac::attempt_duration(r, params_.payload_bytes, /*retry=*/0));
+  }
 }
 
 double SampleRateAdapter::lossless_tx_time_us(mac::RateIndex r) const {
-  return static_cast<double>(
-      mac::attempt_duration(r, params_.payload_bytes, /*retry=*/0));
+  return lossless_us_[static_cast<std::size_t>(r)];
+}
+
+double SampleRateAdapter::window_tx_time_us(mac::RateIndex r,
+                                            const RateStats& stats) const {
+  // Every attempt in the window paid airtime; only successes delivered data.
+  const double total_airtime =
+      lossless_tx_time_us(r) * static_cast<double>(stats.outcomes.size());
+  return total_airtime / static_cast<double>(stats.successes);
 }
 
 void SampleRateAdapter::prune(Time now, RateStats& stats) {
@@ -33,10 +43,7 @@ double SampleRateAdapter::avg_tx_time_us(Time now, mac::RateIndex r) {
   prune(now, stats);
   if (stats.outcomes.empty()) return lossless_tx_time_us(r);
   if (stats.successes == 0) return std::numeric_limits<double>::infinity();
-  // Every attempt in the window paid airtime; only successes delivered data.
-  const double total_airtime =
-      lossless_tx_time_us(r) * static_cast<double>(stats.outcomes.size());
-  return total_airtime / static_cast<double>(stats.successes);
+  return window_tx_time_us(r, stats);
 }
 
 mac::RateIndex SampleRateAdapter::best_rate(Time now) {
@@ -50,7 +57,7 @@ mac::RateIndex SampleRateAdapter::best_rate(Time now) {
     auto& stats = stats_[static_cast<std::size_t>(r)];
     prune(now, stats);
     if (stats.successes == 0) continue;
-    const double t = avg_tx_time_us(now, r);
+    const double t = window_tx_time_us(r, stats);
     if (t < best_time) {
       best_time = t;
       best = r;
@@ -84,7 +91,8 @@ mac::RateIndex SampleRateAdapter::pick_rate(Time now) {
   // below the best's average (i.e. that could possibly beat it) and that are
   // not failure-locked.
   const double best_avg = avg_tx_time_us(now, best);
-  std::vector<mac::RateIndex> candidates;
+  std::array<mac::RateIndex, mac::kNumRates> candidates{};
+  std::size_t num_candidates = 0;
   for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
     if (r == best) continue;
     auto& stats = stats_[static_cast<std::size_t>(r)];
@@ -92,11 +100,11 @@ mac::RateIndex SampleRateAdapter::pick_rate(Time now) {
     if (stats.consecutive_failures >= params_.max_consecutive_failures)
       continue;
     if (lossless_tx_time_us(r) >= best_avg) continue;
-    candidates.push_back(r);
+    candidates[num_candidates++] = r;
   }
-  if (candidates.empty()) return best;
+  if (num_candidates == 0) return best;
   const auto pick = static_cast<std::size_t>(rng_.uniform_int(
-      0, static_cast<std::int64_t>(candidates.size()) - 1));
+      0, static_cast<std::int64_t>(num_candidates) - 1));
   return candidates[pick];
 }
 

@@ -58,10 +58,14 @@ class SampleRateAdapter final : public RateAdapter {
   /// rate has no history (optimism drives initial exploration), +inf when
   /// everything in the window failed.
   double avg_tx_time_us(Time now, mac::RateIndex r);
+  /// The average over an already-pruned window with at least one success.
+  double window_tx_time_us(mac::RateIndex r, const RateStats& stats) const;
   double lossless_tx_time_us(mac::RateIndex r) const;
 
   Params params_;
   util::Rng rng_;
+  /// mac::attempt_duration(r, payload, 0) per rate, fixed by params_.
+  std::array<double, mac::kNumRates> lossless_us_{};
   std::array<RateStats, mac::kNumRates> stats_{};
   int packet_counter_ = 0;
   int chain_failures_ = 0;  ///< Failures within the current retry chain.

@@ -5,12 +5,17 @@
 namespace sh::util {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
+constexpr std::uint64_t kSplitmixGamma = 0x9E3779B97F4A7C15ULL;
+
+std::uint64_t splitmix_mix(std::uint64_t z) noexcept {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
+}
+
+std::uint64_t splitmix64(std::uint64_t& x) noexcept {
+  x += kSplitmixGamma;
+  return splitmix_mix(x);
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) noexcept {
@@ -26,6 +31,7 @@ void Rng::reseed(std::uint64_t seed) noexcept {
 }
 
 std::uint64_t Rng::next() noexcept {
+  // Keep in step with first_uniform().
   const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
   const std::uint64_t t = state_[1] << 17;
   state_[2] ^= state_[0];
@@ -40,6 +46,15 @@ std::uint64_t Rng::next() noexcept {
 double Rng::uniform() noexcept {
   // 53 random mantissa bits -> uniform in [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+double Rng::first_uniform(std::uint64_t seed) noexcept {
+  // reseed() sets state word k to splitmix output k + 1, i.e. the mix of
+  // seed + (k + 1) * gamma; next() then reads words 0 and 3.
+  const std::uint64_t s0 = splitmix_mix(seed + kSplitmixGamma);
+  const std::uint64_t s3 = splitmix_mix(seed + 4 * kSplitmixGamma);
+  const std::uint64_t first = rotl(s0 + s3, 23) + s0;
+  return static_cast<double>(first >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {

@@ -58,6 +58,10 @@ class Rng {
   static std::uint64_t derive_seed(std::uint64_t base,
                                    std::uint64_t stream) noexcept;
 
+  /// Rng(seed).uniform(), without building the generator: the first output
+  /// reads only two of the four state words. For single-draw decisions.
+  static double first_uniform(std::uint64_t seed) noexcept;
+
  private:
   std::uint64_t next() noexcept;
 

@@ -152,6 +152,38 @@ TEST(FaultPlanTest, IntermediateRateMatchesFrequency) {
   EXPECT_NEAR(freq, 0.3, 0.02);
 }
 
+TEST(FaultPlanTest, SingleDrawDecisionsEqualEventRngBernoulli) {
+  // The bernoulli decisions skip building the event generator; they must
+  // still be exactly event_rng(stream, i).bernoulli(rate).
+  using Stream = FaultPlan::Stream;
+  for (const std::uint64_t seed : {0ULL, 777ULL, ~0ULL}) {
+    for (const double p : {0.05, 0.3, 0.9}) {
+      FaultConfig cfg;
+      cfg.sensor.dropout_rate = p;
+      cfg.sensor.stuck_rate = p;
+      cfg.sensor.noise_rate = p;
+      cfg.hint.drop_rate = p;
+      cfg.hint.duplicate_rate = p;
+      cfg.hint.reorder_rate = p;
+      const FaultPlan plan(cfg, seed);
+      const auto ref = [&](Stream stream, std::uint64_t i) {
+        return plan.event_rng(stream, i).bernoulli(p);
+      };
+      std::uint64_t mismatches = 0;
+      for (std::uint64_t i = 0; i < 100'000; ++i) {
+        mismatches +=
+            (plan.sensor_report_dropped(i) != ref(Stream::kSensorDrop, i)) +
+            (plan.sensor_stuck_begins(i) != ref(Stream::kSensorStuck, i)) +
+            (plan.sensor_noise_begins(i) != ref(Stream::kSensorNoise, i)) +
+            (plan.hint_dropped(i) != ref(Stream::kHintDrop, i)) +
+            (plan.hint_duplicated(i) != ref(Stream::kHintDuplicate, i)) +
+            (plan.hint_reordered(i) != ref(Stream::kHintReorder, i));
+      }
+      EXPECT_EQ(mismatches, 0U) << "seed " << seed << ", rate " << p;
+    }
+  }
+}
+
 TEST(FaultPlanTest, DelayStaysWithinJitterBounds) {
   FaultConfig cfg;
   cfg.hint.delay_mean = 100 * kMillisecond;

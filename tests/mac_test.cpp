@@ -114,6 +114,21 @@ TEST(AirtimeTest, BackoffCapsAtCwMax) {
   EXPECT_EQ(a, b);
 }
 
+TEST(AirtimeTest, AttemptDurationTableEqualsAttemptDuration) {
+  for (const int max_retry : {4, kMaxRetry}) {
+    for (const int payload : {0, 1000, 1500}) {
+      const AttemptDurationTable table(payload, max_retry);
+      for (int retry = 0; retry <= max_retry; ++retry) {
+        for (RateIndex r = slowest_rate(); r <= fastest_rate(); ++r) {
+          EXPECT_EQ(table(r, retry), attempt_duration(r, payload, retry))
+              << "rate " << r << ", payload " << payload << ", retry "
+              << retry;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Expected tx time
 

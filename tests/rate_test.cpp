@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <stdexcept>
 
 #include "channel/trace_generator.h"
+#include "mac/airtime.h"
 #include "rate/hint_aware.h"
 #include "rate/rapid_sample.h"
 #include "rate/rraa.h"
@@ -575,6 +577,22 @@ TEST(TraceRunnerTest, DeadChannelDeliversNothing) {
   const auto result = run_trace(rs, trace, RunConfig{});
   EXPECT_EQ(result.delivered, 0U);
   EXPECT_DOUBLE_EQ(result.throughput_mbps, 0.0);
+  EXPECT_GT(result.attempts, 0U);
+}
+
+TEST(TraceRunnerTest, RejectsLinkRetriesOutsideTheAirtimeRange) {
+  // Beyond mac::kMaxRetry the contention window overflows an int; below 0
+  // no attempt is made and time never advances.
+  const auto trace = uniform_trace(false);
+  RapidSample rs;
+  RunConfig config;
+  for (const int retries : {mac::kMaxRetry + 1, 1000, -1}) {
+    config.link_retries = retries;
+    EXPECT_THROW(run_trace(rs, trace, config), std::invalid_argument)
+        << "link_retries " << retries;
+  }
+  config.link_retries = mac::kMaxRetry;
+  const auto result = run_trace(rs, trace, config);
   EXPECT_GT(result.attempts, 0U);
 }
 

@@ -57,6 +57,18 @@ TEST(RngTest, ZeroSeedIsUsable) {
   EXPECT_GT(values.size(), 30U);  // splitmix seeding avoids all-zero state
 }
 
+TEST(RngTest, FirstUniformEqualsAFreshGeneratorsFirstDraw) {
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    const std::uint64_t seed = Rng::derive_seed(5, i);
+    Rng rng(seed);
+    EXPECT_EQ(Rng::first_uniform(seed), rng.uniform()) << "seed " << seed;
+  }
+  for (const std::uint64_t seed : {0ULL, 1ULL, ~0ULL}) {
+    Rng rng(seed);
+    EXPECT_EQ(Rng::first_uniform(seed), rng.uniform()) << "seed " << seed;
+  }
+}
+
 TEST(RngTest, UniformInUnitInterval) {
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {
