@@ -671,6 +671,42 @@ TEST(TraceRunnerPinTest, TcpValuesAreExact) {
   EXPECT_EQ(bits(result.throughput_mbps), 0x3fedb22d0e560419ULL);
 }
 
+// RBAR and CHARM on the same trace, recorded while both still called
+// channel::best_rate_for_snr on every pick; their SnrRateMap must keep them.
+TEST(TraceRunnerPinTest, RbarValuesAreExact) {
+  const auto trace = pinned_trace();
+  RunConfig run;
+  run.workload = Workload::kUdp;
+  Rbar udp;
+  const auto u = run_trace(udp, trace, run);
+  EXPECT_EQ(u.attempts, 3790U);
+  EXPECT_EQ(u.delivered, 2883U);
+  EXPECT_EQ(bits(u.throughput_mbps), 0x40027381d7dbf488ULL);
+  run.workload = Workload::kTcp;
+  Rbar tcp;
+  const auto c = run_trace(tcp, trace, run);
+  EXPECT_EQ(c.attempts, 174U);
+  EXPECT_EQ(c.delivered, 152U);
+  EXPECT_EQ(bits(c.throughput_mbps), 0x3fbf212d77318fc5ULL);
+}
+
+TEST(TraceRunnerPinTest, CharmValuesAreExact) {
+  const auto trace = pinned_trace();
+  RunConfig run;
+  run.workload = Workload::kUdp;
+  Charm udp;
+  const auto u = run_trace(udp, trace, run);
+  EXPECT_EQ(u.attempts, 3694U);
+  EXPECT_EQ(u.delivered, 2705U);
+  EXPECT_EQ(bits(u.throughput_mbps), 0x40014fdf3b645a1dULL);
+  run.workload = Workload::kTcp;
+  Charm tcp;
+  const auto c = run_trace(tcp, trace, run);
+  EXPECT_EQ(c.attempts, 739U);
+  EXPECT_EQ(c.delivered, 688U);
+  EXPECT_EQ(bits(c.throughput_mbps), 0x3fe19ce075f6fd22ULL);
+}
+
 // ---------------------------------------------------------------------------
 // The paper's protocol evaluator: each field is exactly a fresh replay.
 
