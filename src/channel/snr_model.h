@@ -39,6 +39,43 @@ mac::RateIndex best_rate_for_snr(double snr_db, double target = 0.9,
                                  int payload_bytes = 1000,
                                  const SnrModelParams& params = {});
 
+/// best_rate_for_snr(snr, target, payload_bytes, params) for one fixed
+/// (target, payload_bytes, params), answered by comparisons. The
+/// constructor bisects each rate's predicate `delivery >= target` over all
+/// finite doubles for its cut point; an SNR more than a guard band (1e-6 dB,
+/// relative beyond 1 dB magnitude) from every cut it meets is decided by
+/// comparison, one inside a band (or NaN) calls best_rate_for_snr itself.
+/// The result is bit-identical to that reference for every double.
+class SnrRateMap {
+ public:
+  /// Throws std::invalid_argument unless payload_bytes > 0 and
+  /// params.transition_width_db is finite and > 0 (the predicate is then
+  /// non-decreasing in SNR, which the cut points rely on).
+  explicit SnrRateMap(double target = 0.9, int payload_bytes = 1000,
+                      SnrModelParams params = {});
+
+  mac::RateIndex operator()(double snr_db) const {
+    for (mac::RateIndex r = mac::fastest_rate(); r > mac::slowest_rate();
+         --r) {
+      const auto i = static_cast<std::size_t>(r);
+      if (snr_db > pass_above_[i]) return r;
+      if (!(snr_db < fail_below_[i])) {
+        return best_rate_for_snr(snr_db, target_, payload_bytes_, params_);
+      }
+    }
+    return mac::slowest_rate();
+  }
+
+ private:
+  double target_;
+  int payload_bytes_;
+  SnrModelParams params_;
+  /// Per rate: the predicate holds above pass_above_ and fails below
+  /// fail_below_; between them (the guard band) it is evaluated exactly.
+  std::array<double, mac::kNumRates> pass_above_{};
+  std::array<double, mac::kNumRates> fail_below_{};
+};
+
 /// Per-rate delivery thresholds precomputed for one (payload, params) pair.
 /// probability(snr, r) is bit-identical to delivery_probability(snr, r,
 /// payload, params) — the threshold doubles come from the same expressions

@@ -1,6 +1,7 @@
 #include "rate/rapid_sample.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace sh::rate {
 namespace {
@@ -12,8 +13,10 @@ RapidSample::RapidSample(Params params)
     : params_(params),
       current_(mac::fastest_rate()),
       pre_sample_rate_(mac::fastest_rate()) {
-  assert(params_.delta_success > 0);
-  assert(params_.delta_fail > 0);
+  if (params_.delta_success <= 0 || params_.delta_fail <= 0) {
+    throw std::invalid_argument(
+        "RapidSample: delta_success and delta_fail must be > 0");
+  }
   failed_time_.fill(kNeverFailed);
   picked_time_.fill(0);
 }

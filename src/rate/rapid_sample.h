@@ -31,6 +31,7 @@ class RapidSample final : public RateAdapter {
   };
 
   RapidSample() : RapidSample(Params{}) {}
+  /// Throws std::invalid_argument unless delta_success and delta_fail > 0.
   explicit RapidSample(Params params);
 
   std::string_view name() const override { return "RapidSample"; }

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -29,13 +28,19 @@ struct ReplayHooks {
 
 /// Replays `trace` through `adapter` (not reset first) with a saturating
 /// UDP workload or the TCP model's windowed rounds and timeouts. Throws
-/// std::invalid_argument unless 0 <= config.link_retries <= mac::kMaxRetry
-/// (a negative count never advances time; a larger one overflows the
-/// contention window).
+/// std::invalid_argument
+///  * for an empty trace (its throughput would be 0/0);
+///  * unless config.payload_bytes > 0 (otherwise airtime is negative and
+///    time runs backwards, so the loops never end);
+///  * unless 0 <= config.link_retries <= mac::kMaxRetry (a negative count
+///    never advances time; a larger one overflows the contention window).
 template <class Adapter, class Hooks>
 RunResult replay(Adapter& adapter, const channel::PacketFateTrace& trace,
                  const RunConfig& config, Hooks hooks) {
-  assert(!trace.empty());
+  if (trace.empty()) throw std::invalid_argument("replay: empty trace");
+  if (config.payload_bytes <= 0) {
+    throw std::invalid_argument("replay: payload_bytes must be > 0");
+  }
   if (config.link_retries < 0 || config.link_retries > mac::kMaxRetry) {
     throw std::invalid_argument(
         "replay: link_retries must be in [0, " +

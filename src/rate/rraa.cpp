@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "mac/airtime.h"
 
 namespace sh::rate {
 
 Rraa::Rraa(Params params) : params_(params), current_(mac::fastest_rate()) {
-  assert(params_.window_frames > 0);
+  if (params_.window_frames <= 0) {
+    throw std::invalid_argument("Rraa: window_frames must be > 0");
+  }
   recompute_thresholds();
 }
 

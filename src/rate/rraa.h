@@ -26,6 +26,7 @@ class Rraa final : public RateAdapter {
   };
 
   Rraa() : Rraa(Params{}) {}
+  /// Throws std::invalid_argument unless window_frames > 0.
   explicit Rraa(Params params);
 
   std::string_view name() const override { return "RRAA"; }

@@ -1,63 +1,70 @@
 #include "rate/sample_rate.h"
 
+#include <bit>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 #include "mac/airtime.h"
 
 namespace sh::rate {
 
+namespace {
+constexpr double kNoSuccess = std::numeric_limits<double>::infinity();
+}  // namespace
+
 SampleRateAdapter::SampleRateAdapter(Params params, util::Rng rng)
     : params_(params), rng_(rng) {
-  assert(params_.window > 0);
-  assert(params_.sample_every >= 2);
+  if (params_.window <= 0) {
+    throw std::invalid_argument("SampleRateAdapter: window must be > 0");
+  }
+  if (params_.sample_every < 2) {
+    throw std::invalid_argument("SampleRateAdapter: sample_every must be >= 2");
+  }
   for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
     lossless_us_[static_cast<std::size_t>(r)] = static_cast<double>(
         mac::attempt_duration(r, params_.payload_bytes, /*retry=*/0));
   }
+  avg_us_.fill(kNoSuccess);
 }
 
-double SampleRateAdapter::lossless_tx_time_us(mac::RateIndex r) const {
-  return lossless_us_[static_cast<std::size_t>(r)];
-}
-
-double SampleRateAdapter::window_tx_time_us(mac::RateIndex r,
-                                            const RateStats& stats) const {
+double SampleRateAdapter::window_tx_time_us(std::size_t r) const {
+  const RateStats& stats = stats_[r];
+  if (stats.successes == 0) return kNoSuccess;
   // Every attempt in the window paid airtime; only successes delivered data.
   const double total_airtime =
-      lossless_tx_time_us(r) * static_cast<double>(stats.outcomes.size());
+      lossless_us_[r] * static_cast<double>(stats.attempts);
   return total_airtime / static_cast<double>(stats.successes);
 }
 
-void SampleRateAdapter::prune(Time now, RateStats& stats) {
-  while (!stats.outcomes.empty() &&
-         now - stats.outcomes.front().when > params_.window) {
-    if (stats.outcomes.front().acked) --stats.successes;
-    stats.outcomes.pop_front();
+void SampleRateAdapter::prune(Time now) {
+  while (head_ < records_.size() &&
+         now - records_[head_].when() > params_.window) {
+    const Record expired = records_[head_++];
+    const std::size_t r = expired.rate();
+    RateStats& stats = stats_[r];
+    --stats.attempts;
+    if (expired.acked()) --stats.successes;
+    if (stats.attempts == 0) stats.consecutive_failures = 0;
+    dirty_ |= 1U << r;
   }
-  if (stats.outcomes.empty()) stats.consecutive_failures = 0;
-}
-
-double SampleRateAdapter::avg_tx_time_us(Time now, mac::RateIndex r) {
-  auto& stats = stats_[static_cast<std::size_t>(r)];
-  prune(now, stats);
-  if (stats.outcomes.empty()) return lossless_tx_time_us(r);
-  if (stats.successes == 0) return std::numeric_limits<double>::infinity();
-  return window_tx_time_us(r, stats);
+  for (; dirty_ != 0; dirty_ &= dirty_ - 1) {
+    const auto r = static_cast<std::size_t>(std::countr_zero(dirty_));
+    avg_us_[r] = window_tx_time_us(r);
+  }
 }
 
 mac::RateIndex SampleRateAdapter::best_rate(Time now) {
-  // Only rates with at least one success in the window qualify as "best";
-  // rates without data are explored through the sampling slots, not adopted
-  // blindly (adopting them would make the protocol thrash between stale
-  // rates every time the window slides past their last sample).
+  prune(now);
+  // Only rates with at least one success in the window qualify as "best"
+  // (the others average +inf); rates without data are explored through the
+  // sampling slots, not adopted blindly (adopting them would make the
+  // protocol thrash between stale rates every time the window slides past
+  // their last sample).
   mac::RateIndex best = -1;
-  double best_time = std::numeric_limits<double>::infinity();
+  double best_time = kNoSuccess;
   for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
-    auto& stats = stats_[static_cast<std::size_t>(r)];
-    prune(now, stats);
-    if (stats.successes == 0) continue;
-    const double t = window_tx_time_us(r, stats);
+    const double t = avg_us_[static_cast<std::size_t>(r)];
     if (t < best_time) {
       best_time = t;
       best = r;
@@ -89,17 +96,19 @@ mac::RateIndex SampleRateAdapter::pick_rate(Time now) {
 
   // Sampling slot: consider rates other than the best whose lossless time is
   // below the best's average (i.e. that could possibly beat it) and that are
-  // not failure-locked.
-  const double best_avg = avg_tx_time_us(now, best);
+  // not failure-locked. A best without history averages its lossless time
+  // (optimism drives initial exploration).
+  const auto b = static_cast<std::size_t>(best);
+  const double best_avg =
+      stats_[b].attempts == 0 ? lossless_us_[b] : avg_us_[b];
   std::array<mac::RateIndex, mac::kNumRates> candidates{};
   std::size_t num_candidates = 0;
   for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
     if (r == best) continue;
-    auto& stats = stats_[static_cast<std::size_t>(r)];
-    prune(now, stats);
-    if (stats.consecutive_failures >= params_.max_consecutive_failures)
+    const auto i = static_cast<std::size_t>(r);
+    if (stats_[i].consecutive_failures >= params_.max_consecutive_failures)
       continue;
-    if (lossless_tx_time_us(r) >= best_avg) continue;
+    if (lossless_us_[i] >= best_avg) continue;
     candidates[num_candidates++] = r;
   }
   if (num_candidates == 0) return best;
@@ -113,8 +122,23 @@ void SampleRateAdapter::on_packet_start(Time /*now*/) { chain_failures_ = 0; }
 void SampleRateAdapter::on_result(Time now, mac::RateIndex rate_used,
                                   bool acked) {
   assert(mac::valid_rate(rate_used));
-  auto& stats = stats_[static_cast<std::size_t>(rate_used)];
-  stats.outcomes.push_back(Outcome{now, acked});
+  if (now < kMinTime || now > kMaxTime) {
+    throw std::out_of_range(
+        "SampleRateAdapter: time outside the window's range");
+  }
+  // No prune here: the next best_rate() expires the front at its own,
+  // later-or-equal `now` before anything reads the counters.
+  if (records_.size() == records_.capacity() &&
+      2 * head_ >= records_.size()) {
+    records_.erase(records_.begin(),
+                   records_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  const auto r = static_cast<std::size_t>(rate_used);
+  records_.push_back(Record::pack(now, r, acked));
+  RateStats& stats = stats_[r];
+  ++stats.attempts;
+  dirty_ |= 1U << r;
   if (acked) {
     ++stats.successes;
     stats.consecutive_failures = 0;
@@ -123,11 +147,14 @@ void SampleRateAdapter::on_result(Time now, mac::RateIndex rate_used,
     ++stats.consecutive_failures;
     ++chain_failures_;
   }
-  prune(now, stats);
 }
 
 void SampleRateAdapter::reset() {
-  for (auto& s : stats_) s = RateStats{};
+  stats_ = {};
+  avg_us_.fill(kNoSuccess);
+  records_.clear();
+  head_ = 0;
+  dirty_ = 0;
   packet_counter_ = 0;
   chain_failures_ = 0;
 }

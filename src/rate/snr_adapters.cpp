@@ -1,18 +1,16 @@
 #include "rate/snr_adapters.h"
 
-#include <cassert>
-
-#include "channel/snr_model.h"
+#include <stdexcept>
 
 namespace sh::rate {
 
-Rbar::Rbar(Params params) : params_(params) {}
+Rbar::Rbar(Params params)
+    : params_(params),
+      rate_for_snr_(params.target_delivery, params.payload_bytes) {}
 
 mac::RateIndex Rbar::pick_rate(Time /*now*/) {
   if (!have_snr_) return mac::slowest_rate();
-  return channel::best_rate_for_snr(last_snr_db_ + params_.calibration_bias_db,
-                                    params_.target_delivery,
-                                    params_.payload_bytes);
+  return rate_for_snr_(last_snr_db_ + params_.calibration_bias_db);
 }
 
 void Rbar::on_result(Time /*now*/, mac::RateIndex /*rate_used*/,
@@ -30,7 +28,13 @@ void Rbar::reset() {
   last_snr_db_ = 0.0;
 }
 
-Charm::Charm(Params params) : params_(params) { assert(params_.window > 0); }
+Charm::Charm(Params params)
+    : params_(params),
+      rate_for_snr_(params.target_delivery, params.payload_bytes) {
+  if (params_.window <= 0) {
+    throw std::invalid_argument("Charm: window must be > 0");
+  }
+}
 
 void Charm::prune(Time now) {
   while (!history_.empty() && now - history_.front().first > params_.window) {
@@ -47,9 +51,7 @@ double Charm::mean_snr_db() const noexcept {
 mac::RateIndex Charm::pick_rate(Time now) {
   prune(now);
   if (history_.empty()) return mac::slowest_rate();
-  return channel::best_rate_for_snr(
-      mean_snr_db() + params_.calibration_bias_db, params_.target_delivery,
-      params_.payload_bytes);
+  return rate_for_snr_(mean_snr_db() + params_.calibration_bias_db);
 }
 
 void Charm::on_result(Time /*now*/, mac::RateIndex /*rate_used*/,

@@ -16,6 +16,7 @@
 
 #include <deque>
 
+#include "channel/snr_model.h"
 #include "rate/adapter.h"
 
 namespace sh::rate {
@@ -32,6 +33,7 @@ class Rbar final : public RateAdapter {
   };
 
   Rbar() : Rbar(Params{}) {}
+  /// Throws std::invalid_argument unless payload_bytes > 0.
   explicit Rbar(Params params);
 
   std::string_view name() const override { return "RBAR"; }
@@ -42,6 +44,7 @@ class Rbar final : public RateAdapter {
 
  private:
   Params params_;
+  channel::SnrRateMap rate_for_snr_;
   double last_snr_db_ = 0.0;
   bool have_snr_ = false;
 };
@@ -57,6 +60,7 @@ class Charm final : public RateAdapter {
   };
 
   Charm() : Charm(Params{}) {}
+  /// Throws std::invalid_argument unless window > 0 and payload_bytes > 0.
   explicit Charm(Params params);
 
   std::string_view name() const override { return "CHARM"; }
@@ -72,6 +76,7 @@ class Charm final : public RateAdapter {
   void prune(Time now);
 
   Params params_;
+  channel::SnrRateMap rate_for_snr_;
   std::deque<std::pair<Time, double>> history_;
   double sum_snr_ = 0.0;
 };

@@ -2,9 +2,12 @@
 // generator, Gilbert-Elliott, and trace statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "channel/environment.h"
 #include "channel/fading.h"
@@ -182,6 +185,124 @@ TEST(SnrModelTest, BestRateMeetsTarget) {
     if (r > mac::slowest_rate()) {
       EXPECT_GE(delivery_probability(snr, r), 0.9);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SnrRateMap: best_rate_for_snr by comparisons, bit-identical to it.
+
+// Every rate's cut point for (target, payload), from the logistic's closed
+// form: within a few ulps of where the exact predicate flips.
+std::vector<double> approximate_cuts(double target, int payload) {
+  const SnrModelParams params;
+  const double shift = 0.9 * std::log2(static_cast<double>(payload) /
+                                       params.reference_bytes);
+  std::vector<double> cuts;
+  for (mac::RateIndex r = mac::slowest_rate() + 1; r <= mac::fastest_rate();
+       ++r) {
+    cuts.push_back(mac::rate(r).min_snr_db + shift +
+                   params.transition_width_db *
+                       std::log(target / (1.0 - target)));
+  }
+  return cuts;
+}
+
+// Checks `map` against the reference at `snr` and the `ulps` doubles on
+// either side; returns the number of points checked (0 after a mismatch).
+std::size_t check_around(const SnrRateMap& map, double target, int payload,
+                         double snr, int ulps) {
+  double below = snr;
+  double above = snr;
+  for (int k = 0; k <= ulps; ++k) {
+    for (const double x : {below, above}) {
+      if (map(x) != best_rate_for_snr(x, target, payload)) {
+        ADD_FAILURE() << "snr=" << std::hexfloat << x << std::defaultfloat
+                      << " target=" << target << " payload=" << payload
+                      << ": map " << map(x) << ", reference "
+                      << best_rate_for_snr(x, target, payload);
+        return 0;
+      }
+    }
+    below = std::nextafter(below, -HUGE_VAL);
+    above = std::nextafter(above, HUGE_VAL);
+  }
+  return 2 * static_cast<std::size_t>(ulps) + 2;
+}
+
+const double kSpecialSnrs[] = {
+    std::numeric_limits<double>::quiet_NaN(),
+    -std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::max(),
+    std::numeric_limits<double>::lowest(),
+    std::numeric_limits<double>::denorm_min(),
+    0.0,
+    -0.0,
+    1e300,
+    -1e300,
+};
+
+TEST(SnrRateMapTest, MatchesBestRateForSnrEverywhere) {
+  std::size_t checked = 0;
+  for (const double target : {0.5, 0.9, 0.99}) {
+    for (const int payload : {200, 1000, 1500}) {
+      const SnrRateMap map(target, payload);
+      // A 0.0004 dB grid over [-60, 90] dB.
+      for (int k = 0; k <= 375'000; ++k) {
+        const double snr = -60.0 + 0.0004 * k;
+        ASSERT_EQ(map(snr), best_rate_for_snr(snr, target, payload))
+            << "snr=" << snr << " target=" << target << " payload=" << payload;
+      }
+      checked += 375'001;
+      // ±5000 ulps around every cut and around both edges of its 1e-6 dB
+      // guard band, where the map hands over between comparison and
+      // reference.
+      for (const double cut : approximate_cuts(target, payload)) {
+        const double guard = 1e-6 * std::max(1.0, std::abs(cut));
+        for (const double at : {cut, cut - guard, cut + guard}) {
+          const std::size_t n = check_around(map, target, payload, at, 5000);
+          ASSERT_GT(n, 0U);
+          checked += n;
+        }
+      }
+      for (const double snr : kSpecialSnrs) {
+        EXPECT_EQ(map(snr), best_rate_for_snr(snr, target, payload))
+            << "snr=" << snr << " target=" << target << " payload=" << payload;
+      }
+    }
+  }
+  EXPECT_GT(checked, 4'000'000U);
+}
+
+TEST(SnrRateMapTest, DegenerateTargetsFallBackCorrectly) {
+  // Targets no SNR meets, or every SNR meets: whole rates are decided by a
+  // single comparison, and the infinities by the reference.
+  for (const double target :
+       {0.0, -1.0, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    const SnrRateMap map(target, 1000);
+    for (int k = 0; k <= 3000; ++k) {
+      const double snr = -100.0 + 0.1 * k;
+      ASSERT_EQ(map(snr), best_rate_for_snr(snr, target, 1000))
+          << "snr=" << snr << " target=" << target;
+    }
+    for (const double snr : kSpecialSnrs) {
+      EXPECT_EQ(map(snr), best_rate_for_snr(snr, target, 1000))
+          << "snr=" << snr << " target=" << target;
+    }
+  }
+}
+
+TEST(SnrRateMapTest, RejectsInvalidModel) {
+  EXPECT_THROW(SnrRateMap(0.9, 0), std::invalid_argument);
+  EXPECT_THROW(SnrRateMap(0.9, -1000), std::invalid_argument);
+  for (const double width :
+       {0.0, -0.35, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    SnrModelParams params;
+    params.transition_width_db = width;
+    EXPECT_THROW(SnrRateMap(0.9, 1000, params), std::invalid_argument)
+        << "width " << width;
   }
 }
 

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <deque>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -166,6 +169,22 @@ TEST(RapidSampleTest, ResetRestoresInitialState) {
   EXPECT_FALSE(rs.sampling());
 }
 
+TEST(RapidSampleTest, RejectsNonPositiveDeltaSuccess) {
+  for (const Duration delta : {Duration{0}, -kMillisecond}) {
+    RapidSample::Params params;
+    params.delta_success = delta;
+    EXPECT_THROW(RapidSample{params}, std::invalid_argument) << delta;
+  }
+}
+
+TEST(RapidSampleTest, RejectsNonPositiveDeltaFail) {
+  for (const Duration delta : {Duration{0}, -kMillisecond}) {
+    RapidSample::Params params;
+    params.delta_fail = delta;
+    EXPECT_THROW(RapidSample{params}, std::invalid_argument) << delta;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SampleRate unit behaviour
 
@@ -274,6 +293,255 @@ TEST(SampleRateTest, ChainRetriesUsePrimaryNotSample) {
 }
 
 // ---------------------------------------------------------------------------
+// SampleRate against its per-rate-deque form: the oracle below is the
+// adapter as it stood before its window became one packed FIFO (eight
+// deques pruned lazily, one per rate). Every pick_rate and best_rate of the
+// two must agree on any stream whose clock never runs backwards.
+
+class DequeSampleRate {
+ public:
+  DequeSampleRate(SampleRateAdapter::Params params, util::Rng rng)
+      : params_(params), rng_(rng) {
+    for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate();
+         ++r) {
+      lossless_us_[static_cast<std::size_t>(r)] = static_cast<double>(
+          mac::attempt_duration(r, params_.payload_bytes, /*retry=*/0));
+    }
+  }
+
+  mac::RateIndex best_rate(Time now) {
+    mac::RateIndex best = -1;
+    double best_time = std::numeric_limits<double>::infinity();
+    for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate();
+         ++r) {
+      auto& stats = stats_[static_cast<std::size_t>(r)];
+      prune(now, stats);
+      if (stats.successes == 0) continue;
+      const double t = window_tx_time_us(r, stats);
+      if (t < best_time) {
+        best_time = t;
+        best = r;
+      }
+    }
+    if (best >= 0) return best;
+    for (mac::RateIndex r = mac::fastest_rate(); r > mac::slowest_rate();
+         --r) {
+      if (stats_[static_cast<std::size_t>(r)].consecutive_failures <
+          params_.max_consecutive_failures) {
+        return r;
+      }
+    }
+    return mac::slowest_rate();
+  }
+
+  mac::RateIndex pick_rate(Time now) {
+    mac::RateIndex best = best_rate(now);
+    if (chain_failures_ > 0) return best;
+    ++packet_counter_;
+    if (packet_counter_ % params_.sample_every != 0) return best;
+    const double best_avg = avg_tx_time_us(now, best);
+    std::array<mac::RateIndex, mac::kNumRates> candidates{};
+    std::size_t num_candidates = 0;
+    for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate();
+         ++r) {
+      if (r == best) continue;
+      auto& stats = stats_[static_cast<std::size_t>(r)];
+      prune(now, stats);
+      if (stats.consecutive_failures >= params_.max_consecutive_failures)
+        continue;
+      if (lossless_us_[static_cast<std::size_t>(r)] >= best_avg) continue;
+      candidates[num_candidates++] = r;
+    }
+    if (num_candidates == 0) return best;
+    const auto pick = static_cast<std::size_t>(rng_.uniform_int(
+        0, static_cast<std::int64_t>(num_candidates) - 1));
+    return candidates[pick];
+  }
+
+  void on_packet_start(Time /*now*/) { chain_failures_ = 0; }
+
+  void on_result(Time now, mac::RateIndex rate_used, bool acked) {
+    auto& stats = stats_[static_cast<std::size_t>(rate_used)];
+    stats.outcomes.push_back(Outcome{now, acked});
+    if (acked) {
+      ++stats.successes;
+      stats.consecutive_failures = 0;
+      chain_failures_ = 0;
+    } else {
+      ++stats.consecutive_failures;
+      ++chain_failures_;
+    }
+    prune(now, stats);
+  }
+
+  void reset() {
+    for (auto& s : stats_) s = RateStats{};
+    packet_counter_ = 0;
+    chain_failures_ = 0;
+  }
+
+ private:
+  struct Outcome {
+    Time when;
+    bool acked;
+  };
+  struct RateStats {
+    std::deque<Outcome> outcomes;
+    std::size_t successes = 0;
+    int consecutive_failures = 0;
+  };
+
+  double window_tx_time_us(mac::RateIndex r, const RateStats& stats) const {
+    const double total_airtime = lossless_us_[static_cast<std::size_t>(r)] *
+                                 static_cast<double>(stats.outcomes.size());
+    return total_airtime / static_cast<double>(stats.successes);
+  }
+
+  void prune(Time now, RateStats& stats) {
+    while (!stats.outcomes.empty() &&
+           now - stats.outcomes.front().when > params_.window) {
+      if (stats.outcomes.front().acked) --stats.successes;
+      stats.outcomes.pop_front();
+    }
+    if (stats.outcomes.empty()) stats.consecutive_failures = 0;
+  }
+
+  double avg_tx_time_us(Time now, mac::RateIndex r) {
+    auto& stats = stats_[static_cast<std::size_t>(r)];
+    prune(now, stats);
+    if (stats.outcomes.empty()) {
+      return lossless_us_[static_cast<std::size_t>(r)];
+    }
+    if (stats.successes == 0) return std::numeric_limits<double>::infinity();
+    return window_tx_time_us(r, stats);
+  }
+
+  SampleRateAdapter::Params params_;
+  util::Rng rng_;
+  std::array<double, mac::kNumRates> lossless_us_{};
+  std::array<RateStats, mac::kNumRates> stats_{};
+  int packet_counter_ = 0;
+  int chain_failures_ = 0;
+};
+
+// Drives both adapters through one random stream: retry chains of pick and
+// result on a channel whose usable rate wanders, bare results the adapter
+// never picked, bare best_rate queries, idle gaps longer than any window,
+// repeated timestamps and the odd reset. On a `coarse` clock every step is
+// whole milliseconds, so records also land exactly one window before `now`.
+// Returns the number of comparisons.
+int compare_with_deque_oracle(Duration window, int sample_every, Time start,
+                              bool coarse, std::uint64_t seed) {
+  SampleRateAdapter::Params params;
+  params.window = window;
+  params.sample_every = sample_every;
+  SampleRateAdapter fifo(params, util::Rng(seed));
+  DequeSampleRate oracle(params, util::Rng(seed));
+  util::Rng drive(seed ^ 0x5eedULL);
+  Time t = start;
+  double usable = 5.0;  // rates at or below this mostly deliver
+  int compared = 0;
+  const auto advance = [&](Duration lo, Duration hi) {
+    if (!coarse) return drive.uniform_int(lo, hi);
+    return drive.uniform_int(lo / kMillisecond, hi / kMillisecond) *
+           kMillisecond;
+  };
+  const auto check = [&](mac::RateIndex got, mac::RateIndex want,
+                         const char* what) {
+    ++compared;
+    EXPECT_EQ(got, want) << what << " at t=" << t << " (seed " << seed
+                         << ", window " << window << ", sample_every "
+                         << sample_every << ")";
+    return got == want;
+  };
+  for (int step = 0; step < 6000; ++step) {
+    usable = std::clamp(usable + drive.normal() * 0.3, -1.0, 8.0);
+    const double u = drive.uniform();
+    if (u < 0.80) {
+      fifo.on_packet_start(t);
+      oracle.on_packet_start(t);
+      for (int retry = 0; retry <= 4; ++retry) {
+        const mac::RateIndex r = fifo.pick_rate(t);
+        if (!check(r, oracle.pick_rate(t), "pick_rate")) return compared;
+        const bool acked =
+            drive.bernoulli(static_cast<double>(r) <= usable ? 0.9 : 0.1);
+        fifo.on_result(t, r, acked);
+        oracle.on_result(t, r, acked);
+        t += advance(0, 3 * kMillisecond);
+        if (acked) break;
+      }
+    } else if (u < 0.90) {
+      const auto r = static_cast<mac::RateIndex>(
+          drive.uniform_int(mac::slowest_rate(), mac::fastest_rate()));
+      const bool acked = drive.bernoulli(0.5);
+      fifo.on_result(t, r, acked);
+      oracle.on_result(t, r, acked);
+    } else if (u < 0.97) {
+      if (!check(fifo.best_rate(t), oracle.best_rate(t), "best_rate")) {
+        return compared;
+      }
+    } else if (u < 0.995) {
+      t += advance(window / 2, window + window / 2);
+    } else {
+      fifo.reset();
+      oracle.reset();
+    }
+  }
+  return compared;
+}
+
+TEST(SampleRateTest, PackedWindowMatchesPerRateDeques) {
+  int compared = 0;
+  std::uint64_t seed = 1;
+  for (const Duration window : {2 * kSecond, 5 * kSecond, 10 * kSecond}) {
+    for (const int sample_every : {2, 10}) {
+      for (const Time start : {Time{0}, -7 * kSecond, Time{-1}}) {
+        for (const bool coarse : {false, true, false, true}) {
+          compared += compare_with_deque_oracle(window, sample_every, start,
+                                                coarse, seed++);
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 100000);
+}
+
+TEST(SampleRateTest, RejectsTimesItCannotPack) {
+  SampleRateAdapter sr;
+  for (const Time t : {std::numeric_limits<Time>::max(),
+                       std::numeric_limits<Time>::min(),
+                       SampleRateAdapter::kMaxTime + 1,
+                       SampleRateAdapter::kMinTime - 1}) {
+    EXPECT_THROW(sr.on_result(t, 3, true), std::out_of_range) << t;
+  }
+  sr.on_result(SampleRateAdapter::kMinTime, 3, true);
+  EXPECT_EQ(sr.best_rate(SampleRateAdapter::kMinTime), 3);
+  sr.reset();
+  sr.on_result(SampleRateAdapter::kMaxTime, 4, true);
+  EXPECT_EQ(sr.best_rate(SampleRateAdapter::kMaxTime), 4);
+}
+
+TEST(SampleRateTest, RejectsSampleEveryBelowTwo) {
+  // 0 would divide by zero choosing sampling slots; 1 samples every packet.
+  for (const int n : {1, 0, -3}) {
+    SampleRateAdapter::Params params;
+    params.sample_every = n;
+    EXPECT_THROW(SampleRateAdapter(params, util::Rng(1)), std::invalid_argument)
+        << n;
+  }
+}
+
+TEST(SampleRateTest, RejectsNonPositiveWindow) {
+  for (const Duration window : {Duration{0}, -kSecond}) {
+    SampleRateAdapter::Params params;
+    params.window = window;
+    EXPECT_THROW(SampleRateAdapter(params, util::Rng(1)), std::invalid_argument)
+        << window;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // RRAA unit behaviour
 
 TEST(RraaTest, ThresholdsAreOrdered) {
@@ -284,6 +552,14 @@ TEST(RraaTest, ThresholdsAreOrdered) {
   }
   EXPECT_DOUBLE_EQ(rraa.mtl(mac::slowest_rate()), 1.0);
   EXPECT_DOUBLE_EQ(rraa.ori(mac::fastest_rate()), 0.0);
+}
+
+TEST(RraaTest, RejectsNonPositiveWindow) {
+  for (const int frames : {0, -40}) {
+    Rraa::Params params;
+    params.window_frames = frames;
+    EXPECT_THROW(Rraa{params}, std::invalid_argument) << frames;
+  }
 }
 
 TEST(RraaTest, HeavyLossMovesDownBeforeWindowEnds) {
@@ -411,6 +687,28 @@ TEST(CharmTest, RobustToSingleOutlierUnlikeRbar) {
   charm.on_snr(900 * kMillisecond, 5.0);
   EXPECT_EQ(rbar.pick_rate(901 * kMillisecond), mac::slowest_rate());
   EXPECT_GT(charm.pick_rate(901 * kMillisecond), 4);
+}
+
+TEST(RbarTest, RejectsNonPositivePayload) {
+  for (const int payload : {0, -1000}) {
+    Rbar::Params params;
+    params.payload_bytes = payload;
+    EXPECT_THROW(Rbar{params}, std::invalid_argument) << payload;
+  }
+}
+
+TEST(CharmTest, RejectsNonPositiveWindow) {
+  for (const Duration window : {Duration{0}, -kSecond}) {
+    Charm::Params params;
+    params.window = window;
+    EXPECT_THROW(Charm{params}, std::invalid_argument) << window;
+  }
+}
+
+TEST(CharmTest, RejectsNonPositivePayload) {
+  Charm::Params params;
+  params.payload_bytes = 0;
+  EXPECT_THROW(Charm{params}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -594,6 +892,33 @@ TEST(TraceRunnerTest, RejectsLinkRetriesOutsideTheAirtimeRange) {
   config.link_retries = mac::kMaxRetry;
   const auto result = run_trace(rs, trace, config);
   EXPECT_GT(result.attempts, 0U);
+}
+
+TEST(TraceRunnerTest, RejectsEmptyTrace) {
+  // Its throughput would be 0 delivered bits over 0 seconds.
+  const channel::PacketFateTrace empty;
+  for (const Workload workload : {Workload::kUdp, Workload::kTcp}) {
+    RapidSample rs;
+    RunConfig config;
+    config.workload = workload;
+    EXPECT_THROW(run_trace(rs, empty, config), std::invalid_argument);
+  }
+}
+
+TEST(TraceRunnerTest, RejectsNonPositivePayload) {
+  // A negative payload makes attempt airtime negative: time would run
+  // backwards and neither workload loop would end.
+  const auto trace = uniform_trace(true);
+  for (const Workload workload : {Workload::kUdp, Workload::kTcp}) {
+    for (const int payload : {0, -1, -10000}) {
+      RapidSample rs;
+      RunConfig config;
+      config.workload = workload;
+      config.payload_bytes = payload;
+      EXPECT_THROW(run_trace(rs, trace, config), std::invalid_argument)
+          << "payload_bytes " << payload;
+    }
+  }
 }
 
 TEST(TraceRunnerTest, UdpOutrunsTcpOnLossyChannel) {
