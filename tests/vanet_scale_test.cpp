@@ -12,8 +12,8 @@
 //    sharded link scan must produce byte-identical trajectories and
 //    link-event streams (positions compared bit-for-bit);
 //  * golden pins at scale — link-duration histograms and CTE route choices
-//    for fixed seeds at 100 and 1k vehicles, hashed, so a future refactor
-//    cannot silently shift Table 5-1. If a change is INTENTIONAL, update the
+//    for fixed seeds at 100 and 1k vehicles, and every link record at 10k,
+//    hashed, so a future refactor cannot silently shift Table 5-1. If a change is INTENTIONAL, update the
 //    hashes and say so in the commit message.
 #include <gtest/gtest.h>
 
@@ -589,7 +589,7 @@ TEST(SpatialHashScanTest, LinkRecordsIdenticalAt1To8ThreadsFor10kVehicles) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden pins at scale: fixed seeds at 100 and 1k vehicles. See file header
+// Golden pins at scale: fixed seeds at 100, 1k and 10k vehicles. See file header
 // before "fixing" a failure here.
 
 /// Hash of the integer-valued link fields plus coarse histograms. Pure
@@ -656,6 +656,33 @@ TEST(VanetGoldenTest, LinkSetPinnedAt1kVehicles) {
   const auto log = golden_log(1000, 60 * kSecond);
   const auto links = extract_links(log, 100.0, 2.0, 5153);
   EXPECT_EQ(link_set_hash(links), 14670397243421855854ULL);
+}
+
+/// Every LinkRecord field (heading by its bits) and the per-step
+/// active_links() count of a 10k-vehicle city_for_scale run on a 2-thread
+/// pool: the scale at which the spatial-hash build and the link table carry
+/// real load, so a change to either that reorders or drops a link shows here.
+TEST(VanetGoldenTest, LinkRecordsPinnedAt10kVehicles) {
+  const auto net = RoadNetwork::city_for_scale(10000, 5160);
+  TrafficSim::Params params;
+  params.num_vehicles = 10000;
+  params.routing = TrafficSim::Routing::kFollowRoad;
+  TrafficSim sim(net, 5161, params);
+  exp::ThreadPool pool(2);
+  LinkTracker::Params tp;
+  tp.heading_noise_deg = 2.0;
+  tp.noise_seed = 5162;
+  LinkTracker tracker(tp, &pool);
+  std::ostringstream os;
+  for (int step = 0; step <= 30; ++step) {
+    if (step > 0) sim.step(pool);
+    tracker.observe(static_cast<Time>(step) * kSecond, sim.snapshot());
+    os << tracker.active_links() << '\n';
+  }
+  const auto records = tracker.finish();
+  EXPECT_EQ(records.size(), 4127u);
+  os << serialized_records(records);
+  EXPECT_EQ(fnv1a(os.str()), 15802522405593859367ULL);
 }
 
 TEST(VanetGoldenTest, CteRouteChoicesPinnedAt100Vehicles) {
