@@ -1,5 +1,8 @@
 #include "vanet/link_tracker.h"
 
+#include <stdexcept>
+#include <utility>
+
 #include "core/hints.h"
 
 namespace sh::vanet {
@@ -11,26 +14,42 @@ LinkTracker::LinkTracker(Params params, exp::ThreadPool* pool)
       hash_(params.range_m) {}
 
 void LinkTracker::observe(Time now, const std::vector<VehicleState>& snapshot) {
+  if (streaming_ && now < last_now_) {
+    throw std::invalid_argument("LinkTracker::observe: time went backwards");
+  }
+  if (streaming_ && snapshot.size() != num_vehicles_) {
+    throw std::invalid_argument(
+        "LinkTracker::observe: vehicle count changed within a stream");
+  }
   hash_.build(snapshot);
   const auto connected = hash_.pairs_within(snapshot, params_.range_m, pool_);
+  streaming_ = true;
+  last_now_ = now;
+  num_vehicles_ = snapshot.size();
 
   // Merge the (a, b)-sorted connected set against the (a, b)-sorted active
-  // map. Walking both in id order makes every downstream effect — closing
+  // table. Walking both in id order makes every downstream effect — closing
   // records, birth-noise RNG draws, the event stream — a function of the
   // pair ids alone, never of scan discovery order.
-  auto it = active_.begin();
-  const auto close_link = [&](decltype(it)& link_it) {
-    completed_.push_back(link_it->second);
+  const auto close_link = [&](const LinkRecord& rec) {
+    completed_.push_back(rec);
     if (params_.record_events) {
-      events_.push_back(LinkEvent{now, false, link_it->second.vehicle_a,
-                                  link_it->second.vehicle_b, 0.0});
+      events_.push_back(
+          LinkEvent{now, false, rec.vehicle_a, rec.vehicle_b, 0.0});
     }
-    link_it = active_.erase(link_it);
   };
+  const auto before = [](const LinkRecord& rec, const VehiclePair& pair) {
+    return rec.vehicle_a < pair.first ||
+           (rec.vehicle_a == pair.first && rec.vehicle_b < pair.second);
+  };
+  next_active_.clear();
+  auto it = active_.cbegin();
   for (const auto& pair : connected) {
-    while (it != active_.end() && it->first < pair) close_link(it);
-    if (it != active_.end() && it->first == pair) {
-      it->second.end = now;
+    for (; it != active_.cend() && before(*it, pair); ++it) close_link(*it);
+    if (it != active_.cend() && it->vehicle_a == pair.first &&
+        it->vehicle_b == pair.second) {
+      next_active_.push_back(*it);
+      next_active_.back().end = now;
       ++it;
       continue;
     }
@@ -44,21 +63,21 @@ void LinkTracker::observe(Time now, const std::vector<VehicleState>& snapshot) {
             noise_rng_.normal(0.0, params_.heading_noise_deg),
         snapshot[static_cast<std::size_t>(pair.second)].heading_deg +
             noise_rng_.normal(0.0, params_.heading_noise_deg));
-    it = active_.emplace_hint(it, pair, rec);
+    next_active_.push_back(rec);
     if (params_.record_events) {
       events_.push_back(LinkEvent{now, true, pair.first, pair.second,
                                   rec.heading_diff_start_deg});
     }
-    ++it;
   }
-  while (it != active_.end()) close_link(it);
+  for (; it != active_.cend(); ++it) close_link(*it);
+  active_.swap(next_active_);
 }
 
 std::vector<LinkRecord> LinkTracker::finish() {
-  // Links still up close at their last observed timestamp, in id order
-  // (std::map iteration).
-  for (const auto& [key, rec] : active_) completed_.push_back(rec);
+  // Links still up close at their last observed timestamp, in id order.
+  completed_.insert(completed_.end(), active_.begin(), active_.end());
   active_.clear();
+  streaming_ = false;
   return std::move(completed_);
 }
 

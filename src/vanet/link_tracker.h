@@ -13,8 +13,7 @@
 // byte-identical at any thread count (DESIGN.md "City-scale VANET").
 #pragma once
 
-#include <map>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
 #include "util/rng.h"
@@ -65,11 +64,14 @@ class LinkTracker {
   explicit LinkTracker(Params params, exp::ThreadPool* pool = nullptr);
 
   /// Observes one snapshot at time `now`. Snapshots must arrive in
-  /// nondecreasing time order and all have the same vehicle count.
+  /// nondecreasing time order and all have the same vehicle count; throws
+  /// std::invalid_argument, leaving the tracker unchanged, otherwise.
   void observe(Time now, const std::vector<VehicleState>& snapshot);
 
   /// Closes links still up at the final observed timestamp (matching the
-  /// paper's finite simulation windows) and returns every link record.
+  /// paper's finite simulation windows) and returns every link record. Ends
+  /// the stream: the next observe() starts a new one, at any time and with
+  /// any vehicle count.
   std::vector<LinkRecord> finish();
 
   const std::vector<LinkEvent>& events() const noexcept { return events_; }
@@ -80,9 +82,15 @@ class LinkTracker {
   exp::ThreadPool* pool_;
   util::Rng noise_rng_;
   SpatialHash hash_;
-  /// Active links keyed by the (a < b) vehicle pair; std::map so closing
-  /// sweeps run in id order.
-  std::map<std::pair<int, int>, LinkRecord> active_;
+  /// Active links sorted by (a, b). Each step merges them with the sorted
+  /// pair list into next_active_ and swaps the two, so both keep their
+  /// storage and closing sweeps run in id order.
+  std::vector<LinkRecord> active_;
+  std::vector<LinkRecord> next_active_;
+  /// The current stream's last time and vehicle count, once it has begun.
+  bool streaming_ = false;
+  Time last_now_ = 0;
+  std::size_t num_vehicles_ = 0;
   std::vector<LinkRecord> completed_;
   std::vector<LinkEvent> events_;
 };

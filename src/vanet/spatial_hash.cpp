@@ -1,8 +1,13 @@
 #include "vanet/spatial_hash.h"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
+#include <utility>
 
 #include "exp/thread_pool.h"
 
@@ -18,42 +23,117 @@ constexpr std::size_t kCellBlock = 1024;
 /// Key distance between a cell and the one directly above it (pack()).
 constexpr std::uint64_t kRowStride = std::uint64_t{1} << 32;
 
+/// Cell coordinates must lie in [-kCellLimit, kCellLimit) to pack().
+constexpr double kCellLimit = 2147483648.0;  // 2^31
+
+/// Widest radix digit: its count array (16 KiB) stays in L1.
+constexpr unsigned kMaxDigitBits = 11;
+
+/// Stable LSD radix sort of `items` by key(item), which must be below
+/// 2^key_bits. Runs ceil(key_bits / 11) passes of equal digit width, so no
+/// pass covers bits that are zero in every key; the passes ping-pong
+/// between `items` and `scratch` and the result ends in `items`. Stability
+/// is what the callers lean on: items that tie on the key keep their input
+/// order.
+template <typename T, typename KeyFn>
+void radix_sort(std::vector<T>& items, std::vector<T>& scratch,
+                unsigned key_bits, KeyFn key) {
+  if (key_bits == 0 || items.size() < 2) return;
+  const unsigned passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const unsigned digit_bits = (key_bits + passes - 1) / passes;
+  const std::size_t digits = std::size_t{1} << digit_bits;
+  const std::uint64_t mask = digits - 1;
+  std::array<std::size_t, std::size_t{1} << kMaxDigitBits> count;
+  scratch.resize(items.size());
+  for (unsigned shift = 0; shift < key_bits; shift += digit_bits) {
+    std::fill_n(count.begin(), digits, std::size_t{0});
+    for (const T& item : items) ++count[(key(item) >> shift) & mask];
+    std::size_t offset = 0;
+    for (std::size_t d = 0; d < digits; ++d) {
+      offset += std::exchange(count[d], offset);
+    }
+    for (const T& item : items) {
+      scratch[count[(key(item) >> shift) & mask]++] = item;
+    }
+    items.swap(scratch);
+  }
+}
+
+/// Bits needed for every id below n.
+unsigned id_bits_for(std::size_t n) {
+  return n > 1 ? static_cast<unsigned>(std::bit_width(n - 1)) : 0;
+}
+
 }  // namespace
 
 SpatialHash::SpatialHash(double cell_m) : cell_m_(cell_m) {
-  assert(cell_m > 0.0);
+  if (!(cell_m > 0.0)) {
+    throw std::invalid_argument("SpatialHash: cell_m must be > 0");
+  }
 }
 
 std::uint64_t SpatialHash::pack(std::int64_t ix, std::int64_t iy) noexcept {
-  // Bias into unsigned halves; cities are nowhere near 2^31 cells across.
   constexpr std::int64_t kBias = std::int64_t{1} << 31;
   return (static_cast<std::uint64_t>(iy + kBias) << 32) |
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(ix + kBias));
 }
 
-std::int64_t SpatialHash::cell_of(double v) const noexcept {
-  return static_cast<std::int64_t>(std::floor(v / cell_m_));
-}
-
 void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
   const std::size_t n = snapshot.size();
-  // (cell key, vehicle id), sorted: groups members by cell with ids
-  // ascending inside each cell — the order the scan below leans on.
-  members_.clear();
-  members_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    members_.emplace_back(pack(cell_of(snapshot[i].position.x),
-                               cell_of(snapshot[i].position.y)),
-                          static_cast<int>(i));
-  }
-  std::sort(members_.begin(), members_.end());
-
   cell_keys_.clear();
   cell_begin_.clear();
+  members_.clear();
+
+  // Each vehicle's cell key, and the spread of the keys' two 32-bit halves.
+  const auto cell_of = [this](double v) {
+    const double cell = std::floor(v / cell_m_);
+    // Negated so that NaN (and so a non-finite position) fails too.
+    if (!(cell >= -kCellLimit && cell < kCellLimit)) {
+      throw std::out_of_range(
+          "SpatialHash::build: position not finite or beyond 2^31 cells");
+    }
+    return static_cast<std::int64_t>(cell);
+  };
+  vehicle_key_.resize(n);
+  std::uint32_t min_x = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t min_y = min_x;
+  std::uint32_t max_x = 0;
+  std::uint32_t max_y = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (i == 0 || members_[i].first != members_[i - 1].first) {
-      cell_keys_.push_back(members_[i].first);
-      cell_begin_.push_back(i);
+    const std::uint64_t key = pack(cell_of(snapshot[i].position.x),
+                                   cell_of(snapshot[i].position.y));
+    vehicle_key_[i] = key;
+    const auto x = static_cast<std::uint32_t>(key);
+    const auto y = static_cast<std::uint32_t>(key >> 32);
+    min_x = std::min(min_x, x);
+    max_x = std::max(max_x, x);
+    min_y = std::min(min_y, y);
+    max_y = std::max(max_y, y);
+  }
+  if (n == 0) {
+    cell_begin_.push_back(0);
+    return;
+  }
+
+  // Sort ids by (iy - min_iy, ix - min_ix), packed into just the bits the
+  // spread needs. Ids go in ascending and the sort is stable, so ids come
+  // out ascending within each cell: exactly (cell key, id) order.
+  const auto x_bits = static_cast<unsigned>(std::bit_width(max_x - min_x));
+  const auto y_bits = static_cast<unsigned>(std::bit_width(max_y - min_y));
+  members_.resize(n);
+  std::iota(members_.begin(), members_.end(), 0);
+  radix_sort(members_, sort_buffer_, x_bits + y_bits, [&](int id) {
+    const std::uint64_t key = vehicle_key_[static_cast<std::size_t>(id)];
+    return (((key >> 32) - min_y) << x_bits) |
+           (static_cast<std::uint32_t>(key) - min_x);
+  });
+
+  for (std::size_t m = 0; m < n; ++m) {
+    const std::uint64_t key =
+        vehicle_key_[static_cast<std::size_t>(members_[m])];
+    if (m == 0 || key != cell_keys_.back()) {
+      cell_keys_.push_back(key);
+      cell_begin_.push_back(m);
     }
   }
   cell_begin_.push_back(n);
@@ -61,10 +141,10 @@ void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
 
 void SpatialHash::scan_cells(std::size_t lo, std::size_t hi,
                              const std::vector<VehicleState>& snapshot,
-                             double range_m,
-                             std::vector<VehiclePair>& out) const {
+                             double range_m, unsigned id_bits,
+                             std::vector<std::uint64_t>& out) const {
   const std::size_t cells = cell_keys_.size();
-  const auto id = [&](std::size_t m) { return members_[m].second; };
+  const auto id = [&](std::size_t m) { return members_[m]; };
   const auto position = [&](std::size_t m) -> const Vec2& {
     return snapshot[static_cast<std::size_t>(id(m))].position;
   };
@@ -75,14 +155,20 @@ void SpatialHash::scan_cells(std::size_t lo, std::size_t hi,
       for (std::size_t j = c == d ? i + 1 : cell_begin_[d];
            j < cell_begin_[d + 1]; ++j) {
         if (distance(position(i), position(j)) <= range_m) {
-          out.emplace_back(std::min(id(i), id(j)), std::max(id(i), id(j)));
+          const auto a = static_cast<std::uint64_t>(std::min(id(i), id(j)));
+          const auto b = static_cast<std::uint64_t>(std::max(id(i), id(j)));
+          out.push_back(a << id_bits | b);
         }
       }
     }
   };
 
   // First cell whose key is >= the current cell's upper-left neighbor; the
-  // target rises with the key, so the cursor only moves forward.
+  // target rises with the key, so the cursor only moves forward. Cells are
+  // compared by their key's distance past `key`, which cannot wrap around
+  // 2^64 in the top rows the way key + kRowStride would. (A row's first and
+  // last columns are a stride apart too; the distance test drops such
+  // pairs, as it drops every pair in touching cells that is out of range.)
   std::size_t above = lo;
   for (std::size_t c = lo; c < hi; ++c) {
     const std::uint64_t key = cell_keys_[c];
@@ -90,9 +176,10 @@ void SpatialHash::scan_cells(std::size_t lo, std::size_t hi,
     // East neighbor (ix + 1, iy): the next occupied key, if it is key + 1.
     if (c + 1 < cells && cell_keys_[c + 1] == key + 1) scan_pair(c, c + 1);
     // Row above (ix - 1 .. ix + 1, iy + 1): up to three consecutive keys.
-    while (above < cells && cell_keys_[above] < key + kRowStride - 1) ++above;
+    above = std::max(above, c + 1);
+    while (above < cells && cell_keys_[above] - key < kRowStride - 1) ++above;
     for (std::size_t d = above;
-         d < cells && cell_keys_[d] <= key + kRowStride + 1; ++d) {
+         d < cells && cell_keys_[d] - key <= kRowStride + 1; ++d) {
       scan_pair(c, d);
     }
   }
@@ -101,18 +188,24 @@ void SpatialHash::scan_cells(std::size_t lo, std::size_t hi,
 std::vector<VehiclePair> SpatialHash::pairs_within(
     const std::vector<VehicleState>& snapshot, double range_m,
     exp::ThreadPool* pool) const {
-  assert(range_m <= cell_m_);
+  // Negated so that NaN fails too: a radius beyond the cell would silently
+  // miss pairs two cells apart.
+  if (!(range_m <= cell_m_)) {
+    throw std::invalid_argument(
+        "SpatialHash::pairs_within: range_m must be <= cell_m");
+  }
   const std::size_t cells = cell_keys_.size();
   const std::size_t blocks = (cells + kCellBlock - 1) / kCellBlock;
+  const unsigned id_bits = id_bits_for(snapshot.size());
 
   // A pair is found from exactly one cell, so the blocks' outputs are
   // disjoint; concatenating them in block order and sorting once makes the
   // result independent of the block decomposition and of scheduling.
-  std::vector<std::vector<VehiclePair>> parts(blocks);
+  std::vector<std::vector<std::uint64_t>> parts(blocks);
   const auto scan_block = [&](std::size_t block) {
     const std::size_t lo = block * kCellBlock;
     scan_cells(lo, std::min(cells, lo + kCellBlock), snapshot, range_m,
-               parts[block]);
+               id_bits, parts[block]);
   };
   if (pool != nullptr && pool->thread_count() > 1 && blocks > 1) {
     pool->parallel_for(blocks, scan_block);
@@ -120,14 +213,25 @@ std::vector<VehiclePair> SpatialHash::pairs_within(
     for (std::size_t block = 0; block < blocks; ++block) scan_block(block);
   }
 
-  std::vector<VehiclePair> out;
+  std::vector<std::uint64_t> packed;
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
-  out.reserve(total);
+  packed.reserve(total);
   for (const auto& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
+    packed.insert(packed.end(), part.begin(), part.end());
   }
-  std::sort(out.begin(), out.end());
+  // (a << id_bits | b) orders exactly as (a, b), and every pair is distinct.
+  std::vector<std::uint64_t> scratch;
+  radix_sort(packed, scratch, 2 * id_bits,
+             [](std::uint64_t pair) { return pair; });
+
+  const std::uint64_t b_mask = (std::uint64_t{1} << id_bits) - 1;
+  std::vector<VehiclePair> out;
+  out.reserve(total);
+  for (const std::uint64_t pair : packed) {
+    out.emplace_back(static_cast<int>(pair >> id_bits),
+                     static_cast<int>(pair & b_mask));
+  }
   return out;
 }
 

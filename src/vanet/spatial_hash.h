@@ -14,6 +14,10 @@
 // a binary search: the east neighbor is the next key, and the row above is
 // found by a cursor that only moves forward.
 //
+// Both sorts — vehicles by cell in build(), found pairs by (a, b) in
+// pairs_within() — are one stable LSD radix sort whose passes stop at the
+// bit width of the keys' spread, so a step is linear in vehicles plus pairs.
+//
 // Determinism contract (DESIGN.md "Determinism contract"): the pair list is
 // returned sorted by (a, b) vehicle id. The sharded scan splits the cells
 // into fixed-size blocks (never sized from the thread count), concatenates
@@ -41,16 +45,19 @@ class SpatialHash {
  public:
   /// `cell_m` is the grid pitch; queries are exact for any radius <= cell_m
   /// (the stencil below assumes it). The usual choice is cell_m == the link
-  /// radius.
+  /// radius. Throws std::invalid_argument unless cell_m > 0 (NaN included).
   explicit SpatialHash(double cell_m);
 
-  /// Rebuilds the index over `snapshot` (vehicle id = index).
+  /// Rebuilds the index over `snapshot` (vehicle id = index). Throws
+  /// std::out_of_range, leaving the index empty, if a position is not
+  /// finite or lies beyond ±2^31 cells on either axis.
   void build(const std::vector<VehicleState>& snapshot);
 
   /// Every pair (a < b) with distance(a, b) <= range_m, sorted by (a, b).
-  /// Requires range_m <= cell_m and a preceding build() over the same
-  /// snapshot. With a pool, the scan shards over fixed-size cell blocks; the
-  /// result is byte-identical to the serial scan.
+  /// Requires a preceding build() over the same snapshot; throws
+  /// std::invalid_argument unless range_m <= cell_m (NaN included). With a
+  /// pool, the scan shards over fixed-size cell blocks; the result is
+  /// byte-identical to the serial scan.
   std::vector<VehiclePair> pairs_within(
       const std::vector<VehicleState>& snapshot, double range_m,
       exp::ThreadPool* pool = nullptr) const;
@@ -58,24 +65,38 @@ class SpatialHash {
   double cell_m() const noexcept { return cell_m_; }
   std::size_t num_cells() const noexcept { return cell_keys_.size(); }
 
+  /// The index itself, for tests: occupied cell keys ascending (see pack()),
+  /// each cell's offset into members() plus a final end offset, and the
+  /// vehicle ids grouped by cell, ascending within a cell.
+  const std::vector<std::uint64_t>& cell_keys() const noexcept {
+    return cell_keys_;
+  }
+  const std::vector<std::size_t>& cell_begin() const noexcept {
+    return cell_begin_;
+  }
+  const std::vector<int>& members() const noexcept { return members_; }
+
  private:
-  /// Packed cell coordinate; lexicographic (iy, ix) order, so the east
-  /// neighbor of key k is k + 1 and the cell above is k + 2^32.
+  /// Packed cell coordinate, each biased by 2^31 into 32 bits: (iy, ix)
+  /// lexicographic order, so the east neighbor of key k is k + 1 and the
+  /// cell above is k + 2^32. Requires both in [-2^31, 2^31).
   static std::uint64_t pack(std::int64_t ix, std::int64_t iy) noexcept;
-  std::int64_t cell_of(double v) const noexcept;
 
   /// Appends the in-range pairs found from cells [lo, hi) of the half
-  /// stencil, unsorted.
+  /// stencil, unsorted, each packed as (a << id_bits) | b.
   void scan_cells(std::size_t lo, std::size_t hi,
                   const std::vector<VehicleState>& snapshot, double range_m,
-                  std::vector<VehiclePair>& out) const;
+                  unsigned id_bits, std::vector<std::uint64_t>& out) const;
 
   double cell_m_;
   std::vector<std::uint64_t> cell_keys_;  ///< Sorted unique occupied cells.
   std::vector<std::size_t> cell_begin_;   ///< Offsets into members_ (+1 entry).
-  /// (cell key, vehicle id) sorted: vehicles grouped by cell, ids ascending
-  /// within a cell. A member so its storage is reused across build() calls.
-  std::vector<std::pair<std::uint64_t, int>> members_;
+  /// Vehicle ids sorted by cell key, ids ascending within a cell.
+  std::vector<int> members_;
+  /// build() scratch, members so their storage is reused across calls: each
+  /// vehicle's cell key (indexed by id) and the radix sort's second buffer.
+  std::vector<std::uint64_t> vehicle_key_;
+  std::vector<int> sort_buffer_;
 };
 
 }  // namespace sh::vanet

@@ -17,9 +17,13 @@
 //    hashes and say so in the commit message.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -693,6 +697,304 @@ TEST(VanetGoldenTest, CteRouteChoicesPinnedAt100Vehicles) {
 TEST(VanetGoldenTest, CteRouteChoicesPinnedAt1kVehicles) {
   const auto log = golden_log(1000, 30 * kSecond);
   EXPECT_EQ(route_choice_hash(log), 7890649670471706801ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Radix-built index: build() against a std::sort reference of the same
+// (cell key, vehicle id) pairs — members, cell keys and offsets.
+
+/// The index build() must produce, from std::sort over (cell key, id) with
+/// the key computed independently of SpatialHash::pack().
+struct SortedIndex {
+  std::vector<std::uint64_t> cell_keys;
+  std::vector<std::size_t> cell_begin;
+  std::vector<int> members;
+};
+
+SortedIndex sorted_index(const std::vector<VehicleState>& snap, double cell_m) {
+  constexpr std::int64_t kBias = std::int64_t{1} << 31;
+  std::vector<std::pair<std::uint64_t, int>> keyed;
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    const auto ix = static_cast<std::int64_t>(std::floor(snap[i].position.x / cell_m));
+    const auto iy = static_cast<std::int64_t>(std::floor(snap[i].position.y / cell_m));
+    keyed.emplace_back(static_cast<std::uint64_t>(iy + kBias) * (std::uint64_t{1} << 32) +
+                           static_cast<std::uint64_t>(ix + kBias),
+                       static_cast<int>(i));
+  }
+  std::sort(keyed.begin(), keyed.end());
+  SortedIndex index;
+  for (std::size_t m = 0; m < keyed.size(); ++m) {
+    if (m == 0 || keyed[m].first != keyed[m - 1].first) {
+      index.cell_keys.push_back(keyed[m].first);
+      index.cell_begin.push_back(m);
+    }
+    index.members.push_back(keyed[m].second);
+  }
+  index.cell_begin.push_back(keyed.size());
+  return index;
+}
+
+void expect_index_matches_sort(const std::vector<VehicleState>& snap,
+                               double cell_m, const std::string& label) {
+  SpatialHash hash(cell_m);
+  hash.build(snap);
+  const auto ref = sorted_index(snap, cell_m);
+  EXPECT_EQ(hash.members(), ref.members) << label;
+  EXPECT_EQ(hash.cell_keys(), ref.cell_keys) << label;
+  EXPECT_EQ(hash.cell_begin(), ref.cell_begin) << label;
+}
+
+/// n vehicles uniform over [x0, x1) x [y0, y1), ids in random order.
+std::vector<VehicleState> uniform_snapshot(util::Rng& rng, int n, double x0,
+                                           double x1, double y0, double y1) {
+  std::vector<VehicleState> snap;
+  for (int i = 0; i < n; ++i) {
+    snap.push_back(VehicleState{{rng.uniform(x0, x1), rng.uniform(y0, y1)}, 0.0, 0.0});
+  }
+  return snap;
+}
+
+TEST(SpatialHashRadixTest, BuildEqualsStdSortOnNegativeAndWideSpreads) {
+  util::Rng rng(9001);
+  constexpr double kCell = 100.0;
+  // Spreads in cells per axis: under one 11-bit digit, across several,
+  // lopsided either way, and a dense grid where cells hold many vehicles.
+  const std::pair<double, double> spreads[] = {
+      {30.0, 30.0},   {5000.0, 3.0}, {3.0, 5000.0}, {3e6, 2e5},
+      {4e8, 4e8},     {1.0, 1.0},    {0.5, 0.5},    {2e9, 7.0}};
+  for (const auto& [sx, sy] : spreads) {
+    for (const double origin : {-1e5, 0.0, -3.7e6}) {
+      const int n = static_cast<int>(rng.uniform_int(2, 400));
+      const auto snap = uniform_snapshot(rng, n, origin, origin + sx * kCell,
+                                         -origin - sy * kCell, -origin);
+      expect_index_matches_sort(snap, kCell,
+                                "spread " + std::to_string(sx) + "x" +
+                                    std::to_string(sy) + " origin " +
+                                    std::to_string(origin));
+    }
+  }
+}
+
+TEST(SpatialHashRadixTest, BuildEqualsStdSortForOneCellAndTinyFleets) {
+  util::Rng rng(9002);
+  expect_index_matches_sort({}, 100.0, "n = 0");
+  expect_index_matches_sort(uniform_snapshot(rng, 1, -50.0, 50.0, -50.0, 50.0),
+                            100.0, "n = 1");
+  // Every vehicle in the one cell [-100, 0)^2: zero radix passes.
+  const auto one_cell = uniform_snapshot(rng, 300, -99.0, -1.0, -99.0, -1.0);
+  expect_index_matches_sort(one_cell, 100.0, "one cell");
+  SpatialHash hash(100.0);
+  hash.build(one_cell);
+  EXPECT_EQ(hash.num_cells(), 1U);
+}
+
+TEST(SpatialHashRadixTest, BuildEqualsStdSortAtCellsNearPlusMinus2To31) {
+  // Cells -2^31 and 2^31 - 1 on either axis, and their neighbors: the full
+  // 64-bit key spread, so every digit pass runs.
+  constexpr double kCell = 1.0;
+  constexpr double kLimit = 2147483648.0;
+  const double xs[] = {-kLimit, -kLimit + 0.5, -kLimit + 1.25, kLimit - 0.5,
+                       kLimit - 1.5, kLimit - 1e-3, 0.0};
+  util::Rng rng(9003);
+  std::vector<VehicleState> snap;
+  for (int i = 0; i < 200; ++i) {
+    const auto pick = [&] {
+      return xs[static_cast<std::size_t>(rng.uniform_int(0, 6))];
+    };
+    snap.push_back(VehicleState{{pick(), pick()}, 0.0, 0.0});
+  }
+  expect_index_matches_sort(snap, kCell, "extreme cells");
+
+  // Pairs straddling cell boundaries at both extremes, and in the corners
+  // where a top-row or last-column key's stencil arithmetic wraps.
+  const auto extremes = at_positions(
+      {{-kLimit, -kLimit}, {-kLimit + 0.9, -kLimit + 0.3}, {-kLimit + 1.2, -kLimit},
+       {kLimit - 0.1, kLimit - 0.1}, {kLimit - 1.05, kLimit - 0.6},
+       {kLimit - 0.2, -kLimit + 0.1}, {-kLimit + 0.1, kLimit - 0.2},
+       {kLimit - 0.7, kLimit - 1.3}});
+  SpatialHash hash(kCell);
+  hash.build(extremes);
+  EXPECT_EQ(hash.pairs_within(extremes, kCell), brute_pairs(extremes, kCell));
+}
+
+TEST(SpatialHashRadixTest, PairListSortedOverManyDigitWidths) {
+  // Fleets whose id width needs one, two and three radix passes for the
+  // packed (a, b) key; dense enough that pairs are plentiful.
+  util::Rng rng(9004);
+  for (const int n : {3, 40, 700, 2500}) {
+    const double side = 20.0 * std::sqrt(static_cast<double>(n));
+    const auto snap = uniform_snapshot(rng, n, -side, side, -side, side);
+    SpatialHash hash(100.0);
+    hash.build(snap);
+    EXPECT_EQ(hash.pairs_within(snap, 100.0), brute_pairs(snap, 100.0))
+        << "n " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Contracts that hold in every build type.
+
+TEST(SpatialHashContractTest, CellSizeMustBePositive) {
+  EXPECT_THROW(SpatialHash(0.0), std::invalid_argument);
+  EXPECT_THROW(SpatialHash(-1.0), std::invalid_argument);
+  EXPECT_THROW(SpatialHash(std::nan("")), std::invalid_argument);
+  EXPECT_NO_THROW(SpatialHash(1e-3));
+}
+
+TEST(SpatialHashContractTest, RangeBeyondCellThrows) {
+  const auto snap = at_positions({{0.0, 0.0}, {150.0, 0.0}});
+  SpatialHash hash(100.0);
+  hash.build(snap);
+  // 150 m apart, two cells: a 150 m query would silently miss this pair.
+  EXPECT_THROW(hash.pairs_within(snap, 150.0), std::invalid_argument);
+  EXPECT_THROW(hash.pairs_within(snap, std::nan("")), std::invalid_argument);
+  EXPECT_TRUE(hash.pairs_within(snap, 100.0).empty());
+}
+
+TEST(SpatialHashContractTest, NonFiniteOrOutOfRangePositionThrows) {
+  constexpr double kCell = 100.0;
+  constexpr double kLimit = 2147483648.0 * kCell;  // 2^31 cells
+  const double inf = std::numeric_limits<double>::infinity();
+  const Vec2 bad[] = {{std::nan(""), 0.0}, {0.0, std::nan("")}, {inf, 0.0},
+                      {0.0, -inf},         {kLimit, 0.0},       {0.0, kLimit},
+                      {-kLimit - 1.0, 0.0}, {0.0, -kLimit - 1.0}, {1e300, 1e300}};
+  for (const auto& p : bad) {
+    SpatialHash hash(kCell);
+    const auto good = at_positions({{0.0, 0.0}, {10.0, 0.0}});
+    hash.build(good);
+    ASSERT_EQ(hash.num_cells(), 1U);
+    const auto snap = at_positions({{0.0, 0.0}, p});
+    EXPECT_THROW(hash.build(snap), std::out_of_range) << p.x << ", " << p.y;
+    EXPECT_EQ(hash.num_cells(), 0U) << "a failed build leaves the index empty";
+  }
+  // The extreme cells themselves are in range.
+  SpatialHash hash(kCell);
+  const auto edge = at_positions({{-kLimit, -kLimit}, {kLimit - 1.0, kLimit - 1.0}});
+  EXPECT_NO_THROW(hash.build(edge));
+  EXPECT_EQ(hash.num_cells(), 2U);
+}
+
+// ---------------------------------------------------------------------------
+// Flat link table ≡ the std::map tracker it replaced, over random snapshot
+// streams.
+
+/// The std::map-backed LinkTracker, kept as the differential reference:
+/// same merge walk, same birth-noise draws, same events. It takes its pairs
+/// from brute force, so it shares no code with the production path.
+class MapLinkTracker {
+ public:
+  explicit MapLinkTracker(LinkTracker::Params params)
+      : params_(params), noise_rng_(params.noise_seed) {}
+
+  void observe(Time now, const std::vector<VehicleState>& snapshot) {
+    const auto connected = brute_pairs(snapshot, params_.range_m);
+    auto it = active_.begin();
+    const auto close_link = [&](decltype(it)& link_it) {
+      completed_.push_back(link_it->second);
+      if (params_.record_events) {
+        events_.push_back(LinkEvent{now, false, link_it->second.vehicle_a,
+                                    link_it->second.vehicle_b, 0.0});
+      }
+      link_it = active_.erase(link_it);
+    };
+    for (const auto& pair : connected) {
+      while (it != active_.end() && it->first < pair) close_link(it);
+      if (it != active_.end() && it->first == pair) {
+        it->second.end = now;
+        ++it;
+        continue;
+      }
+      LinkRecord rec;
+      rec.vehicle_a = pair.first;
+      rec.vehicle_b = pair.second;
+      rec.start = now;
+      rec.end = now;
+      rec.heading_diff_start_deg = core::heading_difference(
+          snapshot[static_cast<std::size_t>(pair.first)].heading_deg +
+              noise_rng_.normal(0.0, params_.heading_noise_deg),
+          snapshot[static_cast<std::size_t>(pair.second)].heading_deg +
+              noise_rng_.normal(0.0, params_.heading_noise_deg));
+      it = active_.emplace_hint(it, pair, rec);
+      if (params_.record_events) {
+        events_.push_back(LinkEvent{now, true, pair.first, pair.second,
+                                    rec.heading_diff_start_deg});
+      }
+      ++it;
+    }
+    while (it != active_.end()) close_link(it);
+  }
+
+  std::vector<LinkRecord> finish() {
+    for (const auto& [key, rec] : active_) completed_.push_back(rec);
+    active_.clear();
+    return std::move(completed_);
+  }
+
+  const std::vector<LinkEvent>& events() const { return events_; }
+  std::size_t active_links() const { return active_.size(); }
+
+ private:
+  LinkTracker::Params params_;
+  util::Rng noise_rng_;
+  std::map<std::pair<int, int>, LinkRecord> active_;
+  std::vector<LinkRecord> completed_;
+  std::vector<LinkEvent> events_;
+};
+
+/// One step of a random snapshot stream: most vehicles drift a few metres,
+/// some jump anywhere in the area (across many cells), headings are redrawn,
+/// and vehicle 1 sits 95 m then 105 m from vehicle 0 on alternate steps, so
+/// that link breaks and re-forms in consecutive steps.
+void random_step(util::Rng& rng, int step, double half_side,
+                 std::vector<VehicleState>& snap) {
+  for (auto& v : snap) {
+    if (rng.bernoulli(0.1)) {
+      v.position = {rng.uniform(-half_side, half_side),
+                    rng.uniform(-half_side, half_side)};
+    } else {
+      v.position.x += rng.normal(0.0, 15.0);
+      v.position.y += rng.normal(0.0, 15.0);
+    }
+    v.heading_deg = rng.uniform(0.0, 360.0);
+  }
+  snap[1].position = {snap[0].position.x + (step % 2 == 0 ? 95.0 : 105.0),
+                      snap[0].position.y};
+}
+
+TEST(LinkTableDifferentialTest, FlatTableEqualsMapTrackerOnRandomStreams) {
+  util::Rng meta(4242);
+  for (int trial = 0; trial < 16; ++trial) {
+    LinkTracker::Params params;
+    params.range_m = meta.uniform(60.0, 120.0);
+    params.heading_noise_deg = 3.0;
+    params.noise_seed = meta();
+    params.record_events = true;
+    LinkTracker flat(params);
+    MapLinkTracker ref(params);
+    // Two streams per tracker pair: finish() ends one, and the next starts
+    // over at time 0 with another fleet size.
+    for (int stream = 0; stream < 2; ++stream) {
+      const int n = static_cast<int>(meta.uniform_int(2, 160));
+      const double half_side = meta.uniform(150.0, 900.0);
+      std::vector<VehicleState> snap(static_cast<std::size_t>(n));
+      Time now = 0;
+      for (int step = 0; step < 40; ++step) {
+        random_step(meta, step, half_side, snap);
+        flat.observe(now, snap);
+        ref.observe(now, snap);
+        ASSERT_EQ(flat.active_links(), ref.active_links())
+            << "trial " << trial << " stream " << stream << " step " << step;
+        // Nondecreasing, not increasing: now sometimes repeats.
+        if (meta.bernoulli(0.8)) now += kSecond;
+      }
+      EXPECT_EQ(serialized_records(flat.finish()),
+                serialized_records(ref.finish()))
+          << "trial " << trial << " stream " << stream;
+    }
+    ASSERT_FALSE(ref.events().empty());
+    EXPECT_EQ(serialized_events(flat.events()), serialized_events(ref.events()))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "util/stats.h"
 #include "vanet/cte.h"
@@ -297,6 +299,52 @@ TEST(LinkTrackerTest, EventsInVehicleIdOrderRegardlessOfDiscoveryOrder) {
   EXPECT_EQ(tracker.events()[5].vehicle_a, 4);
   for (std::size_t i = 3; i < 6; ++i) EXPECT_FALSE(tracker.events()[i].up);
   EXPECT_EQ(tracker.finish().size(), 3U);
+}
+
+// observe()'s documented precondition holds in every build type: a stream's
+// clock never runs backwards and its fleet never changes size.
+std::vector<VehicleState> pair_50m_apart() {
+  return {VehicleState{{0, 0}, 0.0, 0.0}, VehicleState{{50, 0}, 0.0, 0.0}};
+}
+
+TEST(LinkTrackerTest, ObserveRejectsTimeGoingBackwards) {
+  LinkTracker tracker(LinkTracker::Params{});
+  tracker.observe(5 * kSecond, pair_50m_apart());
+  EXPECT_THROW(tracker.observe(4 * kSecond, pair_50m_apart()),
+               std::invalid_argument);
+  // The rejected call left no trace: a repeated time is fine, and the link
+  // spans 5 s to 6 s, never back to 4 s.
+  tracker.observe(5 * kSecond, pair_50m_apart());
+  tracker.observe(6 * kSecond, pair_50m_apart());
+  const auto links = tracker.finish();
+  ASSERT_EQ(links.size(), 1U);
+  EXPECT_EQ(links[0].start, 5 * kSecond);
+  EXPECT_EQ(links[0].end, 6 * kSecond);
+}
+
+TEST(LinkTrackerTest, ObserveRejectsVehicleCountChange) {
+  LinkTracker tracker(LinkTracker::Params{});
+  tracker.observe(0, pair_50m_apart());
+  auto three = pair_50m_apart();
+  three.push_back(VehicleState{{25, 0}, 0.0, 0.0});
+  EXPECT_THROW(tracker.observe(kSecond, three), std::invalid_argument);
+  EXPECT_THROW(tracker.observe(kSecond, {}), std::invalid_argument);
+  EXPECT_EQ(tracker.active_links(), 1U);
+  tracker.observe(kSecond, pair_50m_apart());
+  ASSERT_EQ(tracker.finish().size(), 1U);
+}
+
+TEST(LinkTrackerTest, FinishEndsTheStream) {
+  // After finish() a new stream may restart the clock and resize the fleet.
+  LinkTracker tracker(LinkTracker::Params{});
+  tracker.observe(10 * kSecond, pair_50m_apart());
+  ASSERT_EQ(tracker.finish().size(), 1U);
+  auto three = pair_50m_apart();
+  three.push_back(VehicleState{{25, 0}, 0.0, 0.0});
+  tracker.observe(0, three);
+  const auto links = tracker.finish();
+  EXPECT_EQ(links.size(), 3U);
+  for (const auto& link : links) EXPECT_EQ(link.start, 0);
 }
 
 // ---------------------------------------------------------------------------
