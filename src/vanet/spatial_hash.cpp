@@ -43,7 +43,7 @@ void radix_sort(std::vector<T>& items, std::vector<T>& scratch,
   const unsigned digit_bits = (key_bits + passes - 1) / passes;
   const std::size_t digits = std::size_t{1} << digit_bits;
   const std::uint64_t mask = digits - 1;
-  std::array<std::size_t, std::size_t{1} << kMaxDigitBits> count;
+  std::array<std::size_t, std::size_t{1} << kMaxDigitBits> count{};
   scratch.resize(items.size());
   for (unsigned shift = 0; shift < key_bits; shift += digit_bits) {
     std::fill_n(count.begin(), digits, std::size_t{0});
@@ -80,8 +80,9 @@ std::uint64_t SpatialHash::pack(std::int64_t ix, std::int64_t iy) noexcept {
 
 void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
   const std::size_t n = snapshot.size();
+  // The empty index, which a rejected position leaves behind.
   cell_keys_.clear();
-  cell_begin_.clear();
+  cell_begin_.assign(1, 0);
   members_.clear();
 
   // Each vehicle's cell key, and the spread of the keys' two 32-bit halves.
@@ -110,10 +111,7 @@ void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
     min_y = std::min(min_y, y);
     max_y = std::max(max_y, y);
   }
-  if (n == 0) {
-    cell_begin_.push_back(0);
-    return;
-  }
+  if (n == 0) return;
 
   // Sort ids by (iy - min_iy, ix - min_ix), packed into just the bits the
   // spread needs. Ids go in ascending and the sort is stable, so ids come
@@ -128,10 +126,11 @@ void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
            (static_cast<std::uint32_t>(key) - min_x);
   });
 
-  for (std::size_t m = 0; m < n; ++m) {
+  cell_keys_.push_back(vehicle_key_[static_cast<std::size_t>(members_[0])]);
+  for (std::size_t m = 1; m < n; ++m) {
     const std::uint64_t key =
         vehicle_key_[static_cast<std::size_t>(members_[m])];
-    if (m == 0 || key != cell_keys_.back()) {
+    if (key != cell_keys_.back()) {
       cell_keys_.push_back(key);
       cell_begin_.push_back(m);
     }

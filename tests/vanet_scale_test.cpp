@@ -865,7 +865,10 @@ TEST(SpatialHashContractTest, NonFiniteOrOutOfRangePositionThrows) {
     ASSERT_EQ(hash.num_cells(), 1U);
     const auto snap = at_positions({{0.0, 0.0}, p});
     EXPECT_THROW(hash.build(snap), std::out_of_range) << p.x << ", " << p.y;
-    EXPECT_EQ(hash.num_cells(), 0U) << "a failed build leaves the index empty";
+    // A failed build leaves the index empty, not that of the last snapshot.
+    EXPECT_EQ(hash.num_cells(), 0U);
+    EXPECT_EQ(hash.cell_begin(), std::vector<std::size_t>{0});
+    EXPECT_TRUE(hash.members().empty());
   }
   // The extreme cells themselves are in range.
   SpatialHash hash(kCell);
