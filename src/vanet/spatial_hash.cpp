@@ -164,10 +164,10 @@ void SpatialHash::scan_cells(std::size_t lo, std::size_t hi,
 
   // First cell whose key is >= the current cell's upper-left neighbor; the
   // target rises with the key, so the cursor only moves forward. Cells are
-  // compared by their key's distance past `key`, which cannot wrap around
-  // 2^64 in the top rows the way key + kRowStride would. (A row's first and
-  // last columns are a stride apart too; the distance test drops such
-  // pairs, as it drops every pair in touching cells that is out of range.)
+  // compared by how far their key lies past `key`: key + kRowStride + 1
+  // would wrap past 2^64 next to the top row and skip the row above. The
+  // window also matches a row's far end (stride - 1 past its first column);
+  // the distance test rejects those pairs.
   std::size_t above = lo;
   for (std::size_t c = lo; c < hi; ++c) {
     const std::uint64_t key = cell_keys_[c];
