@@ -23,8 +23,9 @@ constexpr std::size_t kCellBlock = 1024;
 /// Key distance between a cell and the one directly above it (pack()).
 constexpr std::uint64_t kRowStride = std::uint64_t{1} << 32;
 
-/// Cell coordinates must lie in [-kCellLimit, kCellLimit) to pack().
-constexpr double kCellLimit = 2147483648.0;  // 2^31
+/// pack() biases each cell coordinate by 2^31 into 32 bits, so cells must
+/// lie in [-2^31, 2^31).
+constexpr std::int64_t kCellBias = std::int64_t{1} << 31;
 
 /// Widest radix digit: its count array (16 KiB) stays in L1.
 constexpr unsigned kMaxDigitBits = 11;
@@ -59,11 +60,6 @@ void radix_sort(std::vector<T>& items, std::vector<T>& scratch,
   }
 }
 
-/// Bits needed for every id below n.
-unsigned id_bits_for(std::size_t n) {
-  return n > 1 ? static_cast<unsigned>(std::bit_width(n - 1)) : 0;
-}
-
 }  // namespace
 
 SpatialHash::SpatialHash(double cell_m) : cell_m_(cell_m) {
@@ -73,9 +69,8 @@ SpatialHash::SpatialHash(double cell_m) : cell_m_(cell_m) {
 }
 
 std::uint64_t SpatialHash::pack(std::int64_t ix, std::int64_t iy) noexcept {
-  constexpr std::int64_t kBias = std::int64_t{1} << 31;
-  return (static_cast<std::uint64_t>(iy + kBias) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(ix + kBias));
+  return (static_cast<std::uint64_t>(iy + kCellBias) << 32) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(ix + kCellBias));
 }
 
 void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
@@ -87,9 +82,10 @@ void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
 
   // Each vehicle's cell key, and the spread of the keys' two 32-bit halves.
   const auto cell_of = [this](double v) {
+    constexpr auto kLimit = static_cast<double>(kCellBias);
     const double cell = std::floor(v / cell_m_);
     // Negated so that NaN (and so a non-finite position) fails too.
-    if (!(cell >= -kCellLimit && cell < kCellLimit)) {
+    if (!(cell >= -kLimit && cell < kLimit)) {
       throw std::out_of_range(
           "SpatialHash::build: position not finite or beyond 2^31 cells");
     }
@@ -195,7 +191,11 @@ std::vector<VehiclePair> SpatialHash::pairs_within(
   }
   const std::size_t cells = cell_keys_.size();
   const std::size_t blocks = (cells + kCellBlock - 1) / kCellBlock;
-  const unsigned id_bits = id_bits_for(snapshot.size());
+  // Bits for every id below n.
+  const unsigned id_bits =
+      snapshot.size() > 1
+          ? static_cast<unsigned>(std::bit_width(snapshot.size() - 1))
+          : 0;
 
   // A pair is found from exactly one cell, so the blocks' outputs are
   // disjoint; concatenating them in block order and sorting once makes the

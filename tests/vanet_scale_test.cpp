@@ -13,8 +13,13 @@
 //    link-event streams (positions compared bit-for-bit);
 //  * golden pins at scale — link-duration histograms and CTE route choices
 //    for fixed seeds at 100 and 1k vehicles, and every link record at 10k,
-//    hashed, so a future refactor cannot silently shift Table 5-1. If a change is INTENTIONAL, update the
-//    hashes and say so in the commit message.
+//    hashed, so a future refactor cannot silently shift Table 5-1. If a
+//    change is INTENTIONAL, update the hashes and say so in the commit
+//    message.
+//
+// Below the pins, the radix-built index and the flat link table are each
+// held to a std::sort / std::map reference, and the index's input contracts
+// are checked.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -593,8 +598,8 @@ TEST(SpatialHashScanTest, LinkRecordsIdenticalAt1To8ThreadsFor10kVehicles) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden pins at scale: fixed seeds at 100, 1k and 10k vehicles. See file header
-// before "fixing" a failure here.
+// Golden pins at scale: fixed seeds at 100, 1k and 10k vehicles. See file
+// header before "fixing" a failure here.
 
 /// Hash of the integer-valued link fields plus coarse histograms. Pure
 /// integer pipeline after extraction, so the pin is robust to formatting
@@ -715,11 +720,14 @@ SortedIndex sorted_index(const std::vector<VehicleState>& snap, double cell_m) {
   constexpr std::int64_t kBias = std::int64_t{1} << 31;
   std::vector<std::pair<std::uint64_t, int>> keyed;
   for (std::size_t i = 0; i < snap.size(); ++i) {
-    const auto ix = static_cast<std::int64_t>(std::floor(snap[i].position.x / cell_m));
-    const auto iy = static_cast<std::int64_t>(std::floor(snap[i].position.y / cell_m));
-    keyed.emplace_back(static_cast<std::uint64_t>(iy + kBias) * (std::uint64_t{1} << 32) +
-                           static_cast<std::uint64_t>(ix + kBias),
-                       static_cast<int>(i));
+    const auto ix =
+        static_cast<std::int64_t>(std::floor(snap[i].position.x / cell_m));
+    const auto iy =
+        static_cast<std::int64_t>(std::floor(snap[i].position.y / cell_m));
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(iy + kBias) * (std::uint64_t{1} << 32) +
+        static_cast<std::uint64_t>(ix + kBias);
+    keyed.emplace_back(key, static_cast<int>(i));
   }
   std::sort(keyed.begin(), keyed.end());
   SortedIndex index;
@@ -744,12 +752,13 @@ void expect_index_matches_sort(const std::vector<VehicleState>& snap,
   EXPECT_EQ(hash.cell_begin(), ref.cell_begin) << label;
 }
 
-/// n vehicles uniform over [x0, x1) x [y0, y1), ids in random order.
+/// n vehicles placed uniformly over [x0, x1) x [y0, y1).
 std::vector<VehicleState> uniform_snapshot(util::Rng& rng, int n, double x0,
                                            double x1, double y0, double y1) {
   std::vector<VehicleState> snap;
   for (int i = 0; i < n; ++i) {
-    snap.push_back(VehicleState{{rng.uniform(x0, x1), rng.uniform(y0, y1)}, 0.0, 0.0});
+    snap.push_back(
+        VehicleState{{rng.uniform(x0, x1), rng.uniform(y0, y1)}, 0.0, 0.0});
   }
   return snap;
 }
@@ -808,8 +817,9 @@ TEST(SpatialHashRadixTest, BuildEqualsStdSortAtCellsNearPlusMinus2To31) {
   // Pairs straddling cell boundaries at both extremes, and in the corners
   // where a top-row or last-column key's stencil arithmetic wraps.
   const auto extremes = at_positions(
-      {{-kLimit, -kLimit}, {-kLimit + 0.9, -kLimit + 0.3}, {-kLimit + 1.2, -kLimit},
-       {kLimit - 0.1, kLimit - 0.1}, {kLimit - 1.05, kLimit - 0.6},
+      {{-kLimit, -kLimit}, {-kLimit + 0.9, -kLimit + 0.3},
+       {-kLimit + 1.2, -kLimit}, {kLimit - 0.1, kLimit - 0.1},
+       {kLimit - 1.05, kLimit - 0.6},
        {kLimit - 0.2, -kLimit + 0.1}, {-kLimit + 0.1, kLimit - 0.2},
        {kLimit - 0.7, kLimit - 1.3}});
   SpatialHash hash(kCell);
@@ -855,9 +865,11 @@ TEST(SpatialHashContractTest, NonFiniteOrOutOfRangePositionThrows) {
   constexpr double kCell = 100.0;
   constexpr double kLimit = 2147483648.0 * kCell;  // 2^31 cells
   const double inf = std::numeric_limits<double>::infinity();
-  const Vec2 bad[] = {{std::nan(""), 0.0}, {0.0, std::nan("")}, {inf, 0.0},
-                      {0.0, -inf},         {kLimit, 0.0},       {0.0, kLimit},
-                      {-kLimit - 1.0, 0.0}, {0.0, -kLimit - 1.0}, {1e300, 1e300}};
+  const Vec2 bad[] = {{std::nan(""), 0.0}, {0.0, std::nan("")},
+                      {inf, 0.0},          {0.0, -inf},
+                      {kLimit, 0.0},       {0.0, kLimit},
+                      {-kLimit - 1.0, 0.0}, {0.0, -kLimit - 1.0},
+                      {1e300, 1e300}};
   for (const auto& p : bad) {
     SpatialHash hash(kCell);
     const auto good = at_positions({{0.0, 0.0}, {10.0, 0.0}});
@@ -872,7 +884,8 @@ TEST(SpatialHashContractTest, NonFiniteOrOutOfRangePositionThrows) {
   }
   // The extreme cells themselves are in range.
   SpatialHash hash(kCell);
-  const auto edge = at_positions({{-kLimit, -kLimit}, {kLimit - 1.0, kLimit - 1.0}});
+  const auto edge =
+      at_positions({{-kLimit, -kLimit}, {kLimit - 1.0, kLimit - 1.0}});
   EXPECT_NO_THROW(hash.build(edge));
   EXPECT_EQ(hash.num_cells(), 2U);
 }
