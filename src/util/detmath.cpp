@@ -6,14 +6,43 @@
 #include "util/detmath_dispatch.h"
 
 namespace sh::util::detmath {
+namespace internal {
+namespace {
+
+bool portable_supported() noexcept { return true; }
+
+#if defined(SH_DETMATH_HAVE_AVX2) && defined(__GNUC__)
+bool avx2_supported() noexcept {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
+#endif
+
+constexpr Backend kBackends[] = {
+#if defined(SH_DETMATH_HAVE_AVX2) && defined(__GNUC__)
+    {"avx2", avx2_vtable, avx2_supported},
+#endif
+    {"portable", portable_vtable, portable_supported},
+};
+
+}  // namespace
+
+std::span<const Backend> compiled_backends() noexcept { return kBackends; }
+
+const Backend* find_backend(std::string_view name) noexcept {
+  for (const Backend& b : kBackends) {
+    if (b.name == name) return &b;
+  }
+  return nullptr;
+}
+
+}  // namespace internal
+
 namespace {
 
 const internal::Vtable& pick_backend() noexcept {
-#if defined(SH_DETMATH_HAVE_AVX2) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return internal::avx2_vtable();
+  for (const internal::Backend& b : internal::compiled_backends()) {
+    if (b.supported()) return b.vtable();
   }
-#endif
   return internal::portable_vtable();
 }
 

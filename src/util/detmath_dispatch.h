@@ -1,9 +1,12 @@
 // Internal backend vtable for detmath. Each backend translation unit
-// (detmath_portable.cpp, detmath_avx2.cpp) exposes one of these; detmath.cpp
-// picks one at first use via CPU detection. Not part of the public API.
+// (detmath_portable.cpp, detmath_avx2.cpp, detmath_avx512.cpp) exposes one
+// of these; detmath.cpp picks one at first use via CPU detection. Not part
+// of the public API.
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <string_view>
 
 namespace sh::util::detmath::internal {
 
@@ -31,5 +34,20 @@ const Vtable& portable_vtable() noexcept;
 #if defined(SH_DETMATH_HAVE_AVX2)
 const Vtable& avx2_vtable() noexcept;
 #endif
+
+/// One backend compiled into this build. `supported` asks the CPU for every
+/// instruction-set feature the backend's TU was compiled for.
+struct Backend {
+  std::string_view name;
+  const Vtable& (*vtable)() noexcept;
+  bool (*supported)() noexcept;
+};
+
+/// Every backend this build compiled, in the order pick_backend tries them
+/// (fastest first). The last entry is portable, which every CPU supports.
+std::span<const Backend> compiled_backends() noexcept;
+
+/// The compiled backend called `name`, or nullptr if this build has none.
+const Backend* find_backend(std::string_view name) noexcept;
 
 }  // namespace sh::util::detmath::internal
