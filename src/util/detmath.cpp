@@ -17,7 +17,19 @@ bool avx2_supported() noexcept {
 }
 #endif
 
+#if defined(SH_DETMATH_HAVE_AVX512) && defined(__GNUC__)
+bool avx512_supported() noexcept {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512vl");
+}
+#endif
+
 constexpr Backend kBackends[] = {
+#if defined(SH_DETMATH_HAVE_AVX512) && defined(__GNUC__)
+    {"avx512", avx512_vtable, avx512_supported},
+#endif
 #if defined(SH_DETMATH_HAVE_AVX2) && defined(__GNUC__)
     {"avx2", avx2_vtable, avx2_supported},
 #endif

@@ -34,6 +34,9 @@ const Vtable& portable_vtable() noexcept;
 #if defined(SH_DETMATH_HAVE_AVX2)
 const Vtable& avx2_vtable() noexcept;
 #endif
+#if defined(SH_DETMATH_HAVE_AVX512)
+const Vtable& avx512_vtable() noexcept;
+#endif
 
 /// One backend compiled into this build. `supported` asks the CPU for every
 /// instruction-set feature the backend's TU was compiled for.

@@ -272,5 +272,12 @@ TEST(DetmathBackendTest, Avx2MatchesPortableBitForBit) {
   expect_matches_portable(*v);
 }
 
+TEST(DetmathBackendTest, Avx512MatchesPortableBitForBit) {
+  std::string why;
+  const Vtable* v = runnable_backend("avx512", why);
+  if (v == nullptr) GTEST_SKIP() << why;
+  expect_matches_portable(*v);
+}
+
 }  // namespace
 }  // namespace sh::util::detmath
