@@ -28,13 +28,18 @@ FadingProcess::FadingProcess(util::Rng& rng, int num_paths)
     : los_phase_(rng.uniform(0.0, kTwoPi)),
       norm_(1.0 / std::sqrt(static_cast<double>(num_paths))) {
   assert(num_paths > 0);
-  paths_.reserve(static_cast<std::size_t>(num_paths));
-  for (int n = 0; n < num_paths; ++n) {
+  const auto np = static_cast<std::size_t>(num_paths);
+  omega_.reserve(np);
+  phase_i_.reserve(np);
+  phase_q_.reserve(np);
+  for (std::size_t n = 0; n < np; ++n) {
     // omega = 2*pi*cos(alpha), stored premultiplied: the per-sample phase
     // kTwoPi * cos_alpha * tau associates left, so (kTwoPi * cos_alpha) can
     // be folded at construction without changing a bit of the result.
-    paths_.push_back(Path{kTwoPi * std::cos(rng.uniform(0.0, kTwoPi)),
-                          rng.uniform(0.0, kTwoPi), rng.uniform(0.0, kTwoPi)});
+    // The three draws per path keep their order: alpha, phase_i, phase_q.
+    omega_.push_back(kTwoPi * std::cos(rng.uniform(0.0, kTwoPi)));
+    phase_i_.push_back(rng.uniform(0.0, kTwoPi));
+    phase_q_.push_back(rng.uniform(0.0, kTwoPi));
   }
 }
 
@@ -45,10 +50,10 @@ double FadingProcess::gain_db(double tau, const RicianMix& mix) const noexcept {
   // to this scalar walk (see util/detmath.h).
   double gi = 0.0;
   double gq = 0.0;
-  for (const auto& p : paths_) {
-    const double theta = p.omega * tau;
-    gi += util::detmath::dcos(theta + p.phase_i);
-    gq += util::detmath::dcos(theta + p.phase_q);
+  for (std::size_t p = 0; p < omega_.size(); ++p) {
+    const double theta = omega_[p] * tau;
+    gi += util::detmath::dcos(theta + phase_i_[p]);
+    gq += util::detmath::dcos(theta + phase_q_[p]);
   }
   gi *= norm_;
   gq *= norm_;
@@ -92,16 +97,14 @@ void FadingProcess::compose_gain_n(std::size_t n, const RicianMix& mix,
 void FadingProcess::gain_db_n(const double* tau, std::size_t n,
                               const RicianMix& mix, double* out,
                               BlockScratch& scratch) const {
-  scratch.gi.assign(n, 0.0);
-  scratch.gq.assign(n, 0.0);
+  scratch.gi.resize(n);
+  scratch.gq.resize(n);
   scratch.ang.resize(n);
   scratch.sin_v.resize(n);
   scratch.cos_v.resize(n);
-  for (const auto& p : paths_) {
-    util::detmath::fade_path_accumulate_n(tau, n, p.omega, p.phase_i,
-                                          p.phase_q, scratch.gi.data(),
-                                          scratch.gq.data());
-  }
+  util::detmath::fade_sum_n(tau, n, omega_.data(), phase_i_.data(),
+                            phase_q_.data(), omega_.size(), scratch.gi.data(),
+                            scratch.gq.data());
   double* ang = scratch.ang.data();
   for (std::size_t k = 0; k < n; ++k) ang[k] = kTwoPi * tau[k] + los_phase_;
   util::detmath::sincos_n(ang, n, scratch.sin_v.data(), scratch.cos_v.data());
@@ -112,7 +115,7 @@ void FadingProcess::gain_db_n_fast(const double* tau, std::size_t n,
                                    const RicianMix& mix, double* out,
                                    BlockScratch& scratch) const {
   if (n == 0) return;
-  const std::size_t np = paths_.size();
+  const std::size_t np = omega_.size();
   scratch.gi.resize(n);
   scratch.gq.resize(n);
   scratch.sin_v.resize(n);
@@ -128,14 +131,14 @@ void FadingProcess::gain_db_n_fast(const double* tau, std::size_t n,
   scratch.rot_ds.resize(2 * np);
   const double dtau = n >= 2 ? tau[1] - tau[0] : 0.0;
   for (std::size_t p = 0; p < np; ++p) {
-    const double theta = paths_[p].omega * tau[0];
-    util::detmath::dsincos(theta + paths_[p].phase_i, scratch.rot_s[p],
+    const double theta = omega_[p] * tau[0];
+    util::detmath::dsincos(theta + phase_i_[p], scratch.rot_s[p],
                            scratch.rot_c[p]);
-    util::detmath::dsincos(theta + paths_[p].phase_q, scratch.rot_s[np + p],
+    util::detmath::dsincos(theta + phase_q_[p], scratch.rot_s[np + p],
                            scratch.rot_c[np + p]);
     double step_s = 0.0;
     double step_c = 1.0;
-    util::detmath::dsincos(paths_[p].omega * dtau, step_s, step_c);
+    util::detmath::dsincos(omega_[p] * dtau, step_s, step_c);
     scratch.rot_dc[p] = step_c;
     scratch.rot_ds[p] = step_s;
     scratch.rot_dc[np + p] = step_c;

@@ -74,12 +74,11 @@ class FadingProcess {
   void compose_gain_n(std::size_t n, const RicianMix& mix, double* out,
                       BlockScratch& scratch) const noexcept;
 
-  struct Path {
-    double omega;    ///< 2*pi*cos(alpha): Doppler phase rate of this path.
-    double phase_i;  ///< In-phase component phase offset.
-    double phase_q;  ///< Quadrature component phase offset.
-  };
-  std::vector<Path> paths_;
+  // The scattered paths, one entry each, as parallel arrays (the layout
+  // detmath::fade_sum_n takes).
+  std::vector<double> omega_;    ///< 2*pi*cos(alpha): Doppler phase rate.
+  std::vector<double> phase_i_;  ///< In-phase component phase offset.
+  std::vector<double> phase_q_;  ///< Quadrature component phase offset.
   double los_phase_;
   double norm_;  ///< 1/sqrt(num_paths): normalizes scattered power to 1.
 };

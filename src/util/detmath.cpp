@@ -86,10 +86,10 @@ void sincos_n(const double* x, std::size_t n, double* sin_out,
   active().sincos_n(x, n, sin_out, cos_out);
 }
 
-void fade_path_accumulate_n(const double* tau, std::size_t n, double omega,
-                            double phase_i, double phase_q, double* gi,
-                            double* gq) noexcept {
-  active().fade_path_accumulate_n(tau, n, omega, phase_i, phase_q, gi, gq);
+void fade_sum_n(const double* tau, std::size_t n, const double* omega,
+                const double* phase_i, const double* phase_q, std::size_t np,
+                double* gi, double* gq) noexcept {
+  active().fade_sum_n(tau, n, omega, phase_i, phase_q, np, gi, gq);
 }
 
 void sinusoid_accumulate_n(const double* x, std::size_t n, double amp,

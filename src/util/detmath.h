@@ -19,9 +19,10 @@
 //     identically by every entry point.
 //
 // Backends: a portable one (baseline ISA) and, on x86-64 builds whose
-// compiler supports it, an AVX2+FMA one that the autovectorizer turns into
-// 4-wide loops. Backend choice is a pure speed decision made once per
-// process via CPU detection; it can never change a result bit.
+// compiler supports them, an AVX2+FMA one and an AVX-512 one that the
+// autovectorizer turns into 4- and 8-wide loops. Backend choice is a pure
+// speed decision made once per process via CPU detection (AVX-512 first,
+// then AVX2, then portable); it can never change a result bit.
 #pragma once
 
 #include <cstddef>
@@ -43,15 +44,17 @@ void exp_n(const double* x, std::size_t n, double* out) noexcept;
 void sincos_n(const double* x, std::size_t n, double* sin_out,
               double* cos_out) noexcept;
 
-/// Fused fading-path accumulator, the hot inner kernel of gain_db:
-///   theta  = omega * tau[i]          (one rounding, never contracted)
-///   gi[i] += dcos(theta + phase_i)
-///   gq[i] += dcos(theta + phase_q)
-/// Matches FadingProcess::gain_db's per-slot arithmetic exactly; the scalar
-/// path calls it with n = 1.
-void fade_path_accumulate_n(const double* tau, std::size_t n, double omega,
-                            double phase_i, double phase_q, double* gi,
-                            double* gq) noexcept;
+/// Fused fading-path sum, the hot inner kernel of gain_db, over all `np`
+/// paths at once. For every slot i, starting from 0.0 and adding paths
+/// p = 0..np-1 in order:
+///   theta  = omega[p] * tau[i]        (one rounding, never contracted)
+///   gi[i] += dcos(theta + phase_i[p])
+///   gq[i] += dcos(theta + phase_q[p])
+/// which is FadingProcess::gain_db's scattered sum, slot for slot. gi and
+/// gq are overwritten, not accumulated into.
+void fade_sum_n(const double* tau, std::size_t n, const double* omega,
+                const double* phase_i, const double* phase_q, std::size_t np,
+                double* gi, double* gq) noexcept;
 
 /// Fused sinusoid accumulator, the shadowing inner kernel:
 ///   acc[i] += amp * dsin(omega * x[i] + phase)
@@ -78,7 +81,8 @@ void rotator_emit_block(double& c, double& s, double dc, double ds,
                         std::size_t n, double* cos_out,
                         double* sin_out) noexcept;
 
-/// Name of the active backend ("avx2" or "portable"), for logs and tests.
+/// Name of the active backend ("avx512", "avx2" or "portable"), for logs
+/// and tests.
 const char* backend() noexcept;
 
 }  // namespace sh::util::detmath

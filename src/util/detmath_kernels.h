@@ -1,13 +1,14 @@
 // Per-element cores and batch loops behind detmath.h, written once and
 // compiled into each backend translation unit (detmath_portable.cpp,
-// detmath_avx2.cpp) inside a backend-specific namespace.
+// detmath_avx2.cpp, detmath_avx512.cpp) inside a backend-specific
+// namespace.
 //
 // Determinism contract (see detmath.h): every floating-point operation in
 // this file is spelled explicitly — fused multiply-adds only where
 // std::fma is written, separately rounded multiply/add everywhere else —
 // and the including TUs compile with -ffp-contract=off. A vectorized loop
 // therefore performs exactly the per-element operation sequence of the
-// scalar form, lane by lane, and both backends agree bit-for-bit (software
+// scalar form, lane by lane, and all backends agree bit-for-bit (software
 // std::fma is correctly rounded, i.e. identical to the hardware
 // instruction).
 //
@@ -264,32 +265,74 @@ inline void sincos_n_b(const double* x, std::size_t n, double* sin_out,
   }
 }
 
-inline void fade_path_accumulate_n_b(const double* tau, std::size_t n,
-                                     double omega, double phase_i,
-                                     double phase_q, double* gi,
-                                     double* gq) noexcept {
+/// Slots per register-resident chunk of fade_sum_n_b: each accumulator is
+/// two 512-bit (four 256-bit) vectors wide.
+inline constexpr std::size_t kFadeChunk = 16;
+
+inline void fade_sum_n_b(const double* tau, std::size_t n, const double* omega,
+                         const double* phase_i, const double* phase_q,
+                         std::size_t np, double* gi, double* gq) noexcept {
   const double* __restrict ts = tau;
+  const double* __restrict ws = omega;
+  const double* __restrict pis = phase_i;
+  const double* __restrict pqs = phase_q;
   double* __restrict gis = gi;
   double* __restrict gqs = gq;
-  // Conservative span precheck: fading paths have |omega| <= 2*pi and
-  // phases in [0, 2*pi), so |omega*tau + phase| <= 2*pi*(|tau| + 1); if
-  // that stays under kTrigBound, every per-element predicate below would
-  // pass and the branch-free loop is bit-equivalent.
-  const double tau_fast_bound = kTrigBound / kTwoPi - 1.0;
+  // One conservative precheck for the whole span. Fading paths have
+  // |omega| <= 2*pi and phases in [0, 2*pi); checked here, they bound
+  // |omega*tau + phase| by 2*pi*(|tau| + 1), and the tau bound keeps one
+  // more cycle of slack for the two roundings. Every per-element predicate
+  // of the guarded loop would then pass, so the chunk loop is
+  // bit-equivalent to it.
+  const auto path_fast = [](double v) noexcept {
+    return std::fabs(v) <= kTwoPi;
+  };
+  const double tau_fast_bound = kTrigBound / kTwoPi - 2.0;
   const auto tau_fast = [tau_fast_bound](double t) noexcept {
     return std::fabs(t) <= tau_fast_bound;
   };
-  if (count_out_of_range(ts, n, tau_fast) == 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double theta = omega * ts[i];
-      gis[i] += sincos_core(theta + phase_i).c;
-      gqs[i] += sincos_core(theta + phase_q).c;
+  const bool fast = count_out_of_range(ws, np, path_fast) == 0 &&
+                    count_out_of_range(pis, np, path_fast) == 0 &&
+                    count_out_of_range(pqs, np, path_fast) == 0 &&
+                    count_out_of_range(ts, n, tau_fast) == 0;
+  if (!fast) {
+    for (std::size_t k = 0; k < n; ++k) {
+      double ai = 0.0;
+      double aq = 0.0;
+      for (std::size_t p = 0; p < np; ++p) {
+        const double theta = ws[p] * ts[k];
+        ai += dcos_s(theta + pis[p]);
+        aq += dcos_s(theta + pqs[p]);
+      }
+      gis[k] = ai;
+      gqs[k] = aq;
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double theta = omega * ts[i];
-      gis[i] += dcos_s(theta + phase_i);
-      gqs[i] += dcos_s(theta + phase_q);
+    return;
+  }
+  // Chunks of kFadeChunk slots: the two sums start from 0.0 and take the
+  // paths in order, exactly as the guarded loop does, while the slots of a
+  // chunk fill the vector lanes. The last chunk pads with tau = 0 (in
+  // range) and drops the padded lanes.
+  for (std::size_t base = 0; base < n; base += kFadeChunk) {
+    const std::size_t len = n - base < kFadeChunk ? n - base : kFadeChunk;
+    double tc[kFadeChunk];
+    for (std::size_t c = 0; c < len; ++c) tc[c] = ts[base + c];
+    for (std::size_t c = len; c < kFadeChunk; ++c) tc[c] = 0.0;
+    double ai[kFadeChunk] = {};
+    double aq[kFadeChunk] = {};
+    for (std::size_t p = 0; p < np; ++p) {
+      const double w = ws[p];
+      const double ph_i = pis[p];
+      const double ph_q = pqs[p];
+      for (std::size_t c = 0; c < kFadeChunk; ++c) {
+        const double theta = w * tc[c];
+        ai[c] += sincos_core(theta + ph_i).c;
+        aq[c] += sincos_core(theta + ph_q).c;
+      }
+    }
+    for (std::size_t c = 0; c < len; ++c) {
+      gis[base + c] = ai[c];
+      gqs[base + c] = aq[c];
     }
   }
 }
@@ -375,7 +418,7 @@ inline const internal::Vtable& vtable(const char* name) noexcept {
   static const internal::Vtable v{
       vt_dsin,       vt_dcos,     vt_dexp,
       dsincos_s,     sin_n_b,     cos_n_b,
-      exp_n_b,       sincos_n_b,  fade_path_accumulate_n_b,
+      exp_n_b,       sincos_n_b,  fade_sum_n_b,
       sinusoid_accumulate_n_b, rotator_sum_block_b, rotator_emit_block_b,
       name,
   };

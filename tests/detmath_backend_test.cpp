@@ -123,16 +123,29 @@ void expect_matches_portable(const Vtable& got) {
     EXPECT_TRUE(same_bits({ws, wc}, {gs, gc}));
   }
 
-  // Accumulator parameter sets: ordinary fading/shadowing values, the
-  // bounds of the fast-loop prechecks, and values that force the guarded
-  // loop (huge or NaN rate, NaN phase).
+  // Fading path sets (0, 1, 2, 3 and 16 paths) and sinusoid parameters:
+  // ordinary fading/shadowing values, the bounds of the fast-loop
+  // prechecks, and values that force the guarded loop (huge or NaN rate,
+  // NaN phase).
   const double two_pi = 6.283185307179586;
-  const double fade_params[][3] = {{3.1, 1.0, 2.5},
-                                   {two_pi, two_pi, 0.0},
-                                   {-two_pi, 0.5, two_pi},
-                                   {1e30, 0.1, 0.2},
-                                   {kNaN, 0.3, 0.4},
-                                   {0.7, kNaN, 0.4}};
+  struct FadePaths {
+    std::vector<double> omega, phase_i, phase_q;
+  };
+  std::vector<FadePaths> fade_paths = {
+      {{}, {}, {}},
+      {{two_pi}, {two_pi}, {0.0}},
+      {{-two_pi, 3.1, 0.2}, {0.5, 1.0, 6.0}, {two_pi, 2.5, 0.0}},
+      {{3.1, 1e30}, {0.1, 0.2}, {0.3, 0.4}},
+      {{kNaN, 0.7}, {0.3, 0.4}, {0.5, 0.6}},
+      {{0.7, 0.8}, {0.3, kNaN}, {0.4, 0.5}}};
+  Rng path_rng(0xFADE5ULL);
+  FadePaths sixteen;
+  for (int p = 0; p < 16; ++p) {
+    sixteen.omega.push_back(two_pi * std::cos(path_rng.uniform(0.0, two_pi)));
+    sixteen.phase_i.push_back(path_rng.uniform(0.0, two_pi));
+    sixteen.phase_q.push_back(path_rng.uniform(0.0, two_pi));
+  }
+  fade_paths.push_back(sixteen);
   const double sinusoid_params[][3] = {{2.5, 0.8, 1.2},
                                        {1.0, 0.0, 3.0},
                                        {-4.0, 1e12, 0.5},
@@ -161,20 +174,22 @@ void expect_matches_portable(const Vtable& got) {
       EXPECT_TRUE(same_bits(w2, g2)) << "sincos_n cos";
 
       // Accumulators start from a prefix of the other pool, so -0.0 and
-      // NaN accumulators are covered too.
+      // NaN accumulators are covered too; fade_sum_n must overwrite its
+      // outputs, so its two calls start from different garbage.
       const std::vector<double>& other =
           pool == &pools.mixed ? pools.in_range : pools.mixed;
-      for (const auto& fp : fade_params) {
+      for (const auto& fp : fade_paths) {
+        const std::size_t np = fp.omega.size();
         w1 = prefix(other, n);
         w2 = prefix(*pool, n);
-        g1 = w1;
-        g2 = w2;
-        want.fade_path_accumulate_n(x.data(), n, fp[0], fp[1], fp[2],
-                                    w1.data(), w2.data());
-        got.fade_path_accumulate_n(x.data(), n, fp[0], fp[1], fp[2],
-                                   g1.data(), g2.data());
-        EXPECT_TRUE(same_bits(w1, g1)) << "fade_path_accumulate_n gi";
-        EXPECT_TRUE(same_bits(w2, g2)) << "fade_path_accumulate_n gq";
+        g1 = prefix(*pool, n);
+        g2 = prefix(other, n);
+        want.fade_sum_n(x.data(), n, fp.omega.data(), fp.phase_i.data(),
+                        fp.phase_q.data(), np, w1.data(), w2.data());
+        got.fade_sum_n(x.data(), n, fp.omega.data(), fp.phase_i.data(),
+                       fp.phase_q.data(), np, g1.data(), g2.data());
+        EXPECT_TRUE(same_bits(w1, g1)) << "fade_sum_n gi, np = " << np;
+        EXPECT_TRUE(same_bits(w2, g2)) << "fade_sum_n gq, np = " << np;
       }
       for (const auto& sp : sinusoid_params) {
         w1 = prefix(other, n);

@@ -24,6 +24,7 @@
 // 'unit|fault|vanet|kernel'`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -371,31 +372,77 @@ TEST(DetmathConsistencyTest, BatchFormsMatchScalarBitExactly) {
 }
 
 TEST(DetmathConsistencyTest, AccumulatorsMatchSingleSlotForm) {
-  // fade_path_accumulate_n / sinusoid_accumulate_n with n = 1 must equal
-  // the batched call element-wise — that identity is exactly why the scalar
-  // gain_db/offset_db paths and the block kernel agree.
+  // fade_sum_n must reproduce FadingProcess::gain_db's scattered sums —
+  // gi, gq from 0.0, paths in order, one dcos per path and component — at
+  // every slot, whatever the batch length (the chunked fast loop, its
+  // padded tail, and n = 1), and on the guarded loop too: the second path
+  // set has a rate beyond the precheck and the second tau set values past
+  // the tau bound.
   util::Rng rng(0xACC5ULL);
   constexpr std::size_t kN = 513;
-  std::vector<double> tau(kN);
-  for (std::size_t i = 0; i < kN; ++i) tau[i] = rng.uniform(0.0, 50.0);
-  const double omega = rng.uniform(0.1, 60.0);
-  const double pi = rng.uniform(0.0, 6.28);
-  const double pq = pi + 1.5707963267948966;
-  std::vector<double> gi_b(kN, 0.25), gq_b(kN, -0.5);
-  std::vector<double> gi_s(kN, 0.25), gq_s(kN, -0.5);
-  util::detmath::fade_path_accumulate_n(tau.data(), kN, omega, pi, pq,
-                                        gi_b.data(), gq_b.data());
-  for (std::size_t i = 0; i < kN; ++i) {
-    util::detmath::fade_path_accumulate_n(&tau[i], 1, omega, pi, pq, &gi_s[i],
-                                          &gq_s[i]);
-    ASSERT_EQ(gi_s[i], gi_b[i]) << "tau=" << tau[i];
-    ASSERT_EQ(gq_s[i], gq_b[i]) << "tau=" << tau[i];
+  constexpr std::size_t kPaths = 16;
+  const double two_pi = 6.283185307179586;
+  std::vector<double> omega(kPaths), pi(kPaths), pq(kPaths);
+  for (std::size_t p = 0; p < kPaths; ++p) {
+    omega[p] = two_pi * std::cos(rng.uniform(0.0, two_pi));
+    pi[p] = rng.uniform(0.0, two_pi);
+    pq[p] = rng.uniform(0.0, two_pi);
   }
+  std::vector<double> tau(kN), tau_far(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    tau[i] = rng.uniform(0.0, 50.0);
+    tau_far[i] = i % 5 == 0 ? rng.uniform(1e7, 2e7) : tau[i];
+  }
+  std::vector<double> omega_far = omega;
+  omega_far[7] = 1e3;
+  struct Case {
+    const std::vector<double>* omega;
+    const std::vector<double>* tau;
+  };
+  for (const Case c : {Case{&omega, &tau}, Case{&omega_far, &tau},
+                       Case{&omega, &tau_far}}) {
+    const std::vector<double>& w = *c.omega;
+    const std::vector<double>& t = *c.tau;
+    std::vector<double> gi_b(kN, 0.25), gq_b(kN, -0.5);
+    util::detmath::fade_sum_n(t.data(), kN, w.data(), pi.data(), pq.data(),
+                              kPaths, gi_b.data(), gq_b.data());
+    // Uneven pieces: 7-slot calls cross the 16-slot chunk edges.
+    std::vector<double> gi_p(kN), gq_p(kN);
+    for (std::size_t i = 0; i < kN; i += 7) {
+      const std::size_t len = std::min<std::size_t>(7, kN - i);
+      util::detmath::fade_sum_n(&t[i], len, w.data(), pi.data(), pq.data(),
+                                kPaths, &gi_p[i], &gq_p[i]);
+    }
+    for (std::size_t i = 0; i < kN; ++i) {
+      double gi = 0.0;
+      double gq = 0.0;
+      for (std::size_t p = 0; p < kPaths; ++p) {
+        const double theta = w[p] * t[i];
+        gi += util::detmath::dcos(theta + pi[p]);
+        gq += util::detmath::dcos(theta + pq[p]);
+      }
+      double gi_s = 0.0;
+      double gq_s = 0.0;
+      util::detmath::fade_sum_n(&t[i], 1, w.data(), pi.data(), pq.data(),
+                                kPaths, &gi_s, &gq_s);
+      ASSERT_EQ(gi, gi_b[i]) << "tau=" << t[i];
+      ASSERT_EQ(gq, gq_b[i]) << "tau=" << t[i];
+      ASSERT_EQ(gi, gi_p[i]) << "tau=" << t[i];
+      ASSERT_EQ(gq, gq_p[i]) << "tau=" << t[i];
+      ASSERT_EQ(gi, gi_s) << "tau=" << t[i];
+      ASSERT_EQ(gq, gq_s) << "tau=" << t[i];
+    }
+  }
+
+  // sinusoid_accumulate_n with n = 1 must equal the batched call
+  // element-wise — why the scalar offset_db and the block kernel agree.
+  const double omega_s = rng.uniform(0.1, 60.0);
+  const double phase_s = rng.uniform(0.0, 6.28);
   std::vector<double> acc_b(kN, 1.0), acc_s(kN, 1.0);
-  util::detmath::sinusoid_accumulate_n(tau.data(), kN, 2.5, omega, pi,
+  util::detmath::sinusoid_accumulate_n(tau.data(), kN, 2.5, omega_s, phase_s,
                                        acc_b.data());
   for (std::size_t i = 0; i < kN; ++i) {
-    util::detmath::sinusoid_accumulate_n(&tau[i], 1, 2.5, omega, pi,
+    util::detmath::sinusoid_accumulate_n(&tau[i], 1, 2.5, omega_s, phase_s,
                                          &acc_s[i]);
     ASSERT_EQ(acc_s[i], acc_b[i]) << "x=" << tau[i];
   }
