@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <bit>
 #include <cmath>
 
 namespace sh::util {
@@ -18,10 +19,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return splitmix_mix(x);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) noexcept {
@@ -30,35 +27,13 @@ void Rng::reseed(std::uint64_t seed) noexcept {
   has_cached_normal_ = false;
 }
 
-std::uint64_t Rng::next() noexcept {
-  // Keep in step with first_uniform().
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::first_uniform(std::uint64_t seed) noexcept {
   // reseed() sets state word k to splitmix output k + 1, i.e. the mix of
   // seed + (k + 1) * gamma; next() then reads words 0 and 3.
   const std::uint64_t s0 = splitmix_mix(seed + kSplitmixGamma);
   const std::uint64_t s3 = splitmix_mix(seed + 4 * kSplitmixGamma);
-  const std::uint64_t first = rotl(s0 + s3, 23) + s0;
+  const std::uint64_t first = std::rotl(s0 + s3, 23) + s0;
   return static_cast<double>(first >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
@@ -76,33 +51,10 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r % range);
 }
 
-double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  double u, v, s;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  cached_normal_ = v * factor;
-  has_cached_normal_ = true;
-  return u * factor;
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  return mean + stddev * normal();
-}
-
 double Rng::exponential(double mean) noexcept {
   // 1 - uniform() is in (0, 1], so the log argument is never zero.
   return -mean * std::log(1.0 - uniform());
 }
-
-bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 Rng Rng::fork() noexcept {
   return Rng{next() ^ 0xD1B54A32D192ED03ULL};
