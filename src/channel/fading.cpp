@@ -1,9 +1,9 @@
 #include "channel/fading.h"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <stdexcept>
 
 #include "util/detmath.h"
 
@@ -27,7 +27,10 @@ FadingProcess::RicianMix FadingProcess::RicianMix::from_k(
 FadingProcess::FadingProcess(util::Rng& rng, int num_paths)
     : los_phase_(rng.uniform(0.0, kTwoPi)),
       norm_(1.0 / std::sqrt(static_cast<double>(num_paths))) {
-  assert(num_paths > 0);
+  // Checked in every build: with no paths norm_ is inf and every gain NaN.
+  if (num_paths <= 0) {
+    throw std::invalid_argument("FadingProcess: num_paths must be positive");
+  }
   const auto np = static_cast<std::size_t>(num_paths);
   omega_.reserve(np);
   phase_i_.reserve(np);
@@ -230,8 +233,13 @@ DopplerClock::Cursor::Span DopplerClock::Cursor::span_at(Time t) noexcept {
 
 ShadowingProcess::ShadowingProcess(util::Rng& rng, double sigma_db,
                                    double period_s) {
-  assert(sigma_db >= 0.0);
-  assert(period_s > 0.0);
+  // Checked in every build; the negated forms reject NaN too.
+  if (!(sigma_db >= 0.0)) {
+    throw std::invalid_argument("ShadowingProcess: sigma_db must be >= 0");
+  }
+  if (!(period_s > 0.0)) {
+    throw std::invalid_argument("ShadowingProcess: period_s must be > 0");
+  }
   // Four sinusoids with periods spread around `period_s`; amplitudes chosen
   // so total variance = sigma^2 (each sinusoid contributes amp^2/2).
   constexpr int kComponents = 4;

@@ -35,7 +35,8 @@ class FadingProcess {
   };
 
   /// `num_paths` scattered components; 8+ gives an acceptably Rayleigh-like
-  /// envelope, 16 is the default.
+  /// envelope, 16 is the default. Throws std::invalid_argument unless
+  /// num_paths > 0 (no paths would normalise by 1/sqrt(0)).
   explicit FadingProcess(util::Rng& rng, int num_paths = 16);
 
   /// Power gain in dB at Doppler time `tau`, mixing a fixed line-of-sight
@@ -164,7 +165,8 @@ class DopplerClock {
 class ShadowingProcess {
  public:
   /// `sigma_db` standard deviation; `period_s` roughly the dominant
-  /// variation period in progress units.
+  /// variation period in progress units. Throws std::invalid_argument
+  /// unless sigma_db >= 0 and period_s > 0 (NaN fails both).
   ShadowingProcess(util::Rng& rng, double sigma_db, double period_s = 8.0);
 
   double offset_db(double progress_s) const noexcept;

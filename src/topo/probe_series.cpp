@@ -1,14 +1,22 @@
 #include "topo/probe_series.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace sh::topo {
 
 ProbeSeries::ProbeSeries(Duration interval, std::vector<bool> fates,
                          std::vector<bool> moving)
     : interval_(interval), fates_(std::move(fates)), moving_(std::move(moving)) {
-  assert(interval_ > 0);
-  assert(fates_.size() == moving_.size());
+  // Checked in every build: index_at divides by the interval, and every
+  // accessor assumes one motion flag per fate.
+  if (interval_ <= 0) {
+    throw std::invalid_argument("ProbeSeries: interval must be positive");
+  }
+  if (fates_.size() != moving_.size()) {
+    throw std::invalid_argument(
+        "ProbeSeries: fates and moving flags differ in size");
+  }
 }
 
 ProbeSeries ProbeSeries::from_trace(const channel::PacketFateTrace& trace,

@@ -15,6 +15,8 @@ namespace sh::topo {
 
 class ProbeSeries {
  public:
+  /// Throws std::invalid_argument unless interval > 0 and the two vectors
+  /// have the same size.
   ProbeSeries(Duration interval, std::vector<bool> fates,
               std::vector<bool> moving);
 

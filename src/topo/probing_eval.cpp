@@ -1,13 +1,32 @@
 #include "topo/probing_eval.h"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace sh::topo {
+namespace {
+
+// Checked in every build: above 1e6 probes/s the microsecond interval
+// truncates to 0 and the schedule loop never ends; the negated forms
+// reject NaN too.
+void check_probe_rate(double probes_per_s) {
+  if (!(probes_per_s > 0.0 && probes_per_s <= kMaxProbesPerS)) {
+    throw std::invalid_argument(
+        "probing: probes_per_s must be in (0, 1e6]");
+  }
+}
+
+void check_window(int window) {
+  if (window <= 0) {
+    throw std::invalid_argument("probing: window must be positive");
+  }
+}
+
+}  // namespace
 
 std::vector<Time> fixed_probe_schedule(Duration total, double probes_per_s) {
-  assert(probes_per_s > 0.0);
+  check_probe_rate(probes_per_s);
   std::vector<Time> schedule;
   const auto interval = static_cast<Duration>(1e6 / probes_per_s);
   for (Time t = 0; t < total; t += interval) schedule.push_back(t);
@@ -16,7 +35,7 @@ std::vector<Time> fixed_probe_schedule(Duration total, double probes_per_s) {
 
 ProbingError probing_error(const ProbeSeries& series, double probes_per_s,
                            int window) {
-  assert(window > 0);
+  check_window(window);
   const auto schedule = fixed_probe_schedule(series.duration(), probes_per_s);
 
   util::SlidingWindowRate observed(static_cast<std::size_t>(window));
@@ -40,8 +59,11 @@ ProbingError probing_error(const ProbeSeries& series, double probes_per_s,
 EstimateSeries estimate_over_schedule(const ProbeSeries& series,
                                       std::span<const Time> schedule,
                                       int window, Duration sample_interval) {
-  assert(window > 0);
-  assert(sample_interval > 0);
+  check_window(window);
+  if (sample_interval <= 0) {
+    throw std::invalid_argument(
+        "estimate_over_schedule: sample_interval must be positive");
+  }
   EstimateSeries out;
   out.probes_sent = schedule.size();
 

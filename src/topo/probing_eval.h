@@ -18,11 +18,18 @@
 
 namespace sh::topo {
 
-/// Probe times for a fixed probing rate over [0, total).
+/// Highest probing rate the microsecond clock can space out: one probe per
+/// microsecond.
+inline constexpr double kMaxProbesPerS = 1e6;
+
+/// Probe times for a fixed probing rate over [0, total). Throws
+/// std::invalid_argument unless 0 < probes_per_s <= kMaxProbesPerS.
 std::vector<Time> fixed_probe_schedule(Duration total, double probes_per_s);
 
 /// Mean absolute estimation error at `probes_per_s`, paper methodology.
 /// Also exposes the error-sample spread for the Fig 4-2/4-3 error bars.
+/// Throws std::invalid_argument for a probing rate fixed_probe_schedule
+/// rejects or a window <= 0.
 struct ProbingError {
   double mean_abs_error = 0.0;
   double stddev = 0.0;
@@ -32,7 +39,8 @@ ProbingError probing_error(const ProbeSeries& series, double probes_per_s,
                            int window = 10);
 
 /// Estimate + actual time series for a given probe schedule, sampled every
-/// `sample_interval` (the Fig 4-4/4-5/4-6 curves).
+/// `sample_interval` (the Fig 4-4/4-5/4-6 curves). Throws
+/// std::invalid_argument unless window > 0 and sample_interval > 0.
 struct EstimateSeries {
   std::vector<double> time_s;
   std::vector<double> estimate;  ///< Estimator view (NaN until warm).

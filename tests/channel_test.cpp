@@ -111,8 +111,29 @@ TEST(DopplerClockTest, TauContinuousAcrossPhaseBoundary) {
   }
 }
 
+TEST(FadingProcessTest, RejectsNonPositivePathCount) {
+  // Release builds must not normalise by 1/sqrt(0) and return NaN gains.
+  util::Rng rng(8);
+  EXPECT_THROW(FadingProcess(rng, 0), std::invalid_argument);
+  EXPECT_THROW(FadingProcess(rng, -3), std::invalid_argument);
+  const FadingProcess one_path(rng, 1);
+  EXPECT_TRUE(std::isfinite(one_path.gain_db(0.5)));
+}
+
 // ---------------------------------------------------------------------------
 // ShadowingProcess
+
+TEST(ShadowingProcessTest, RejectsNegativeSigmaOrNonPositivePeriod) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(9);
+  EXPECT_THROW(ShadowingProcess(rng, -0.5, 8.0), std::invalid_argument);
+  EXPECT_THROW(ShadowingProcess(rng, nan, 8.0), std::invalid_argument);
+  EXPECT_THROW(ShadowingProcess(rng, 4.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(ShadowingProcess(rng, 4.0, -8.0), std::invalid_argument);
+  EXPECT_THROW(ShadowingProcess(rng, 4.0, nan), std::invalid_argument);
+  const ShadowingProcess flat(rng, 0.0, 8.0);
+  EXPECT_EQ(flat.offset_db(3.0), 0.0);
+}
 
 TEST(ShadowingProcessTest, ZeroMeanAndTargetSigma) {
   util::Rng rng(6);

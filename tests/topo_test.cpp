@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "channel/trace_generator.h"
 #include "topo/adaptive_prober.h"
@@ -69,8 +72,52 @@ TEST(ProbeSeriesTest, ActualProbabilityWindowed) {
   EXPECT_DOUBLE_EQ(series.actual_probability(4, 5), 0.6);
 }
 
+TEST(ProbeSeriesTest, RejectsNonPositiveInterval) {
+  // index_at divides by the interval.
+  EXPECT_THROW(constant_series(10, true, 0), std::invalid_argument);
+  EXPECT_THROW(constant_series(10, true, -5 * kMillisecond),
+               std::invalid_argument);
+}
+
+TEST(ProbeSeriesTest, RejectsFatesAndMovingFlagsOfDifferentSizes) {
+  EXPECT_THROW(ProbeSeries(5 * kMillisecond, std::vector<bool>(10, true),
+                           std::vector<bool>(9, false)),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Probing error evaluation
+
+TEST(ProbingEvalTest, RejectsRatesAboveOnePerMicrosecond) {
+  // Above 1e6 probes/s the interval truncates to 0 and the schedule loop
+  // would push probes until memory runs out.
+  const auto series = constant_series(100, true);
+  EXPECT_THROW(fixed_probe_schedule(kSecond, 2e6), std::invalid_argument);
+  EXPECT_THROW(probing_error(series, 2e6), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(fixed_probe_schedule(kSecond, inf), std::invalid_argument);
+  // The bound itself is one probe per microsecond.
+  EXPECT_EQ(fixed_probe_schedule(100, kMaxProbesPerS).size(), 100U);
+}
+
+TEST(ProbingEvalTest, RejectsNonPositiveOrNaNRate) {
+  const auto series = constant_series(100, true);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double rate : {0.0, -1.0, nan}) {
+    EXPECT_THROW(fixed_probe_schedule(kSecond, rate), std::invalid_argument)
+        << rate;
+    EXPECT_THROW(probing_error(series, rate), std::invalid_argument) << rate;
+  }
+}
+
+TEST(ProbingEvalTest, RejectsNonPositiveWindow) {
+  const auto series = constant_series(2000, true);
+  EXPECT_THROW(probing_error(series, 1.0, 0), std::invalid_argument);
+  EXPECT_THROW(probing_error(series, 1.0, -10), std::invalid_argument);
+  const auto schedule = fixed_probe_schedule(series.duration(), 1.0);
+  EXPECT_THROW(estimate_over_schedule(series, schedule, 0),
+               std::invalid_argument);
+}
 
 TEST(ProbingEvalTest, FixedScheduleSpacing) {
   const auto schedule = fixed_probe_schedule(10 * kSecond, 2.0);
@@ -134,6 +181,15 @@ TEST(EstimateSeriesTest, WarmupProducesNaNThenValues) {
   EXPECT_FALSE(std::isnan(est.estimate.back()));
   EXPECT_DOUBLE_EQ(est.estimate.back(), 1.0);
   EXPECT_EQ(est.probes_sent, schedule.size());
+}
+
+TEST(EstimateSeriesTest, RejectsNonPositiveSampleInterval) {
+  const auto series = constant_series(2000, true);
+  const auto schedule = fixed_probe_schedule(series.duration(), 1.0);
+  EXPECT_THROW(estimate_over_schedule(series, schedule, 10, 0),
+               std::invalid_argument);
+  EXPECT_THROW(estimate_over_schedule(series, schedule, 10, -kSecond),
+               std::invalid_argument);
 }
 
 TEST(EstimateSeriesTest, HighRateTracksMobileBetterThanLowRate) {
