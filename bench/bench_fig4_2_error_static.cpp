@@ -3,6 +3,7 @@
 // error near 11%; 0.5 probes/s reaches ~5%.
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "experiment_config.h"
 #include "topo/probing_eval.h"
@@ -16,15 +17,19 @@ int main() {
       "(20 x 180 s stationary traces; 10-probe windows; error vs the dense "
       "200/s ground truth)\n\n");
 
+  // One dense series per seed, shared by every probing rate.
+  std::vector<topo::ProbeSeries> series;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    series.push_back(topo::ProbeSeries::from_trace(channel::generate_trace(
+        topo_config(false, 700 + seed, 180 * kSecond))));
+  }
+
   const double rates[] = {0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0};
   util::Table table({"probes/s", "mean abs error", "stddev"});
   for (const double rate : rates) {
     util::RunningStats error, spread;
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      const auto trace =
-          channel::generate_trace(topo_config(false, 700 + seed, 180 * kSecond));
-      const auto series = topo::ProbeSeries::from_trace(trace);
-      const auto result = topo::probing_error(series, rate);
+    for (const topo::ProbeSeries& s : series) {
+      const auto result = topo::probing_error(s, rate);
       error.add(result.mean_abs_error);
       spread.add(result.stddev);
     }

@@ -4,6 +4,7 @@
 // static case for comparable accuracy.
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "experiment_config.h"
 #include "topo/probing_eval.h"
@@ -16,16 +17,24 @@ int main() {
       "=== Figure 4-3: estimation error vs probing rate (mobile) ===\n"
       "(20 x 180 s walking traces; 10-probe windows)\n\n");
 
+  // One dense series per seed and mobility, shared by every probing rate.
+  const auto series_for = [](bool mobile) {
+    std::vector<topo::ProbeSeries> series;
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      series.push_back(topo::ProbeSeries::from_trace(channel::generate_trace(
+          topo_config(mobile, 700 + seed, 180 * kSecond))));
+    }
+    return series;
+  };
+  const std::vector<topo::ProbeSeries> mobile = series_for(true);
+
   const double rates[] = {0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0};
   util::Table table({"probes/s", "mean abs error", "stddev"});
   double err_half = 0.0, err_ten = 0.0;
   for (const double rate : rates) {
     util::RunningStats error, spread;
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      const auto trace =
-          channel::generate_trace(topo_config(true, 700 + seed, 180 * kSecond));
-      const auto series = topo::ProbeSeries::from_trace(trace);
-      const auto result = topo::probing_error(series, rate);
+    for (const topo::ProbeSeries& s : mobile) {
+      const auto result = topo::probing_error(s, rate);
       error.add(result.mean_abs_error);
       spread.add(result.stddev);
     }
@@ -38,12 +47,8 @@ int main() {
 
   // The factor-of-20 comparison against the static case (Fig 4-2 config).
   util::RunningStats static_half;
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const auto trace =
-        channel::generate_trace(topo_config(false, 700 + seed, 180 * kSecond));
-    static_half.add(
-        topo::probing_error(topo::ProbeSeries::from_trace(trace), 0.5)
-            .mean_abs_error);
+  for (const topo::ProbeSeries& s : series_for(false)) {
+    static_half.add(topo::probing_error(s, 0.5).mean_abs_error);
   }
   std::printf(
       "\nMobile at 0.5 probes/s: %.3f error; static at 0.5 probes/s: %.3f.\n"
