@@ -40,18 +40,13 @@ DeliveryModel::DeliveryModel(int payload_bytes, SnrModelParams params)
 }
 
 void DeliveryModel::probabilities_n(const double* snr_db, std::size_t n,
-                                    mac::RateIndex rate, double* out,
-                                    double* scratch) const noexcept {
-  // Same arithmetic as probability(), element by element: the subtraction,
-  // division, and negation are exact-shape identical, dexp's batch form is
-  // bit-identical to its scalar form by the detmath contract, and the final
-  // division matches.
-  const double threshold = threshold_db_[static_cast<std::size_t>(rate)];
-  for (std::size_t k = 0; k < n; ++k) {
-    scratch[k] = -((snr_db[k] - threshold) / transition_width_db_);
-  }
-  util::detmath::exp_n(scratch, n, out);
-  for (std::size_t k = 0; k < n; ++k) out[k] = 1.0 / (1.0 + out[k]);
+                                    mac::RateIndex rate,
+                                    double* out) const noexcept {
+  // detmath::logistic_n performs probability()'s operations — subtract,
+  // divide, negate, dexp, add, divide — element by element, vectorized.
+  util::detmath::logistic_n(snr_db, n,
+                            threshold_db_[static_cast<std::size_t>(rate)],
+                            transition_width_db_, out);
 }
 
 mac::RateIndex best_rate_for_snr(double snr_db, double target,

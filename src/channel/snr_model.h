@@ -94,10 +94,9 @@ class DeliveryModel {
   }
 
   /// Block form: out[k] is bit-identical to probability(snr_db[k], rate).
-  /// `scratch` must hold at least n doubles.
+  /// snr_db and out must not overlap.
   void probabilities_n(const double* snr_db, std::size_t n,
-                       mac::RateIndex rate, double* out,
-                       double* scratch) const noexcept;
+                       mac::RateIndex rate, double* out) const noexcept;
 
  private:
   std::array<double, mac::kNumRates> threshold_db_{};

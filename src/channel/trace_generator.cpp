@@ -415,7 +415,6 @@ PacketFateTrace generate_trace_block(const TraceGeneratorConfig& config,
   const std::unique_ptr<bool[]> moving(new bool[block]);
   // Rate-major per-rate delivery probabilities for the block.
   std::vector<double> probs(static_cast<std::size_t>(mac::kNumRates) * block);
-  std::vector<double> scratch(block);
 
   for (std::size_t start = 0; start < num_slots; start += block) {
     const std::size_t len = std::min(block, num_slots - start);
@@ -427,8 +426,7 @@ PacketFateTrace generate_trace_block(const TraceGeneratorConfig& config,
     for (int r = 0; r < mac::kNumRates; ++r) {
       delivery.probabilities_n(snr.data(), len, r,
                                probs.data() + static_cast<std::size_t>(r) *
-                                                  block,
-                               scratch.data());
+                                                  block);
     }
     // Scalar tail: the fate RNG is a sequential stream, so draws stay in
     // the exact scalar order — one normal then kNumRates Bernoullis per

@@ -86,6 +86,11 @@ void sincos_n(const double* x, std::size_t n, double* sin_out,
   active().sincos_n(x, n, sin_out, cos_out);
 }
 
+void logistic_n(const double* x, std::size_t n, double center, double width,
+                double* out) noexcept {
+  active().logistic_n(x, n, center, width, out);
+}
+
 void fade_sum_n(const double* tau, std::size_t n, const double* omega,
                 const double* phase_i, const double* phase_q, std::size_t np,
                 double* gi, double* gq) noexcept {

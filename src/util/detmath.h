@@ -44,6 +44,14 @@ void exp_n(const double* x, std::size_t n, double* out) noexcept;
 void sincos_n(const double* x, std::size_t n, double* sin_out,
               double* cos_out) noexcept;
 
+/// Batch logistic, the delivery-probability curve:
+///   out[i] = 1 / (1 + dexp(-((x[i] - center) / width)))
+/// with every operation rounded separately, matching
+/// DeliveryModel::probability element by element. x and out must not
+/// overlap.
+void logistic_n(const double* x, std::size_t n, double center, double width,
+                double* out) noexcept;
+
 /// Fused fading-path sum, the hot inner kernel of gain_db, over all `np`
 /// paths at once. For every slot i, starting from 0.0 and adding paths
 /// p = 0..np-1 in order:

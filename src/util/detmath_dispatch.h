@@ -19,6 +19,8 @@ struct Vtable {
   void (*cos_n)(const double*, std::size_t, double*) noexcept;
   void (*exp_n)(const double*, std::size_t, double*) noexcept;
   void (*sincos_n)(const double*, std::size_t, double*, double*) noexcept;
+  void (*logistic_n)(const double*, std::size_t, double, double,
+                     double*) noexcept;
   void (*fade_sum_n)(const double*, std::size_t, const double*, const double*,
                      const double*, std::size_t, double*, double*) noexcept;
   void (*sinusoid_accumulate_n)(const double*, std::size_t, double, double,

@@ -265,6 +265,20 @@ inline void sincos_n_b(const double* x, std::size_t n, double* sin_out,
   }
 }
 
+inline void logistic_n_b(const double* x, std::size_t n, double center,
+                         double width, double* out) noexcept {
+  const double* __restrict xs = x;
+  double* __restrict o = out;
+  // The exp arguments go to `out` first, so one precheck over them picks
+  // the loop, exactly as exp_n_b does.
+  for (std::size_t i = 0; i < n; ++i) o[i] = -((xs[i] - center) / width);
+  if (count_out_of_range(o, n, exp_in_range) == 0) {
+    for (std::size_t i = 0; i < n; ++i) o[i] = 1.0 / (1.0 + exp_core(o[i]));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) o[i] = 1.0 / (1.0 + dexp_s(o[i]));
+  }
+}
+
 /// Slots per register-resident chunk of fade_sum_n_b: each accumulator is
 /// two 512-bit (four 256-bit) vectors wide.
 inline constexpr std::size_t kFadeChunk = 16;
@@ -418,7 +432,7 @@ inline const internal::Vtable& vtable(const char* name) noexcept {
   static const internal::Vtable v{
       vt_dsin,       vt_dcos,     vt_dexp,
       dsincos_s,     sin_n_b,     cos_n_b,
-      exp_n_b,       sincos_n_b,  fade_sum_n_b,
+      exp_n_b,       sincos_n_b,  logistic_n_b, fade_sum_n_b,
       sinusoid_accumulate_n_b, rotator_sum_block_b, rotator_emit_block_b,
       name,
   };

@@ -146,6 +146,11 @@ void expect_matches_portable(const Vtable& got) {
     sixteen.phase_q.push_back(path_rng.uniform(0.0, two_pi));
   }
   fade_paths.push_back(sixteen);
+  // Logistic centre and width: a delivery-curve pair, one whose exp
+  // arguments cross the ±700 bound inside the pools, and degenerate ones.
+  const double logistic_params[][2] = {
+      {6.4, 0.35}, {0.0, 1.0}, {-3.0, 1e-3}, {0.0, 0.0}, {kNaN, 1.0},
+      {0.0, kInf}};
   const double sinusoid_params[][3] = {{2.5, 0.8, 1.2},
                                        {1.0, 0.0, 3.0},
                                        {-4.0, 1e12, 0.5},
@@ -172,6 +177,11 @@ void expect_matches_portable(const Vtable& got) {
       got.sincos_n(x.data(), n, g1.data(), g2.data());
       EXPECT_TRUE(same_bits(w1, g1)) << "sincos_n sin";
       EXPECT_TRUE(same_bits(w2, g2)) << "sincos_n cos";
+      for (const auto& lp : logistic_params) {
+        want.logistic_n(x.data(), n, lp[0], lp[1], w1.data());
+        got.logistic_n(x.data(), n, lp[0], lp[1], g1.data());
+        EXPECT_TRUE(same_bits(w1, g1)) << "logistic_n";
+      }
 
       // Accumulators start from a prefix of the other pool, so -0.0 and
       // NaN accumulators are covered too; fade_sum_n must overwrite its

@@ -479,10 +479,9 @@ TEST(SnrModelTest, DeliveryModelMatchesScalarBitExactly) {
     const DeliveryModel model(payload);
     std::vector<double> snr;
     for (double v = -10.0; v <= 45.0; v += 0.125) snr.push_back(v);
-    std::vector<double> probs(snr.size()), scratch(snr.size());
+    std::vector<double> probs(snr.size());
     for (mac::RateIndex r = 0; r < mac::kNumRates; ++r) {
-      model.probabilities_n(snr.data(), snr.size(), r, probs.data(),
-                            scratch.data());
+      model.probabilities_n(snr.data(), snr.size(), r, probs.data());
       for (std::size_t i = 0; i < snr.size(); ++i) {
         ASSERT_EQ(model.probability(snr[i], r), probs[i])
             << "snr=" << snr[i] << " rate=" << static_cast<int>(r);
