@@ -40,13 +40,6 @@ constexpr Backend kBackends[] = {
 
 std::span<const Backend> compiled_backends() noexcept { return kBackends; }
 
-const Backend* find_backend(std::string_view name) noexcept {
-  for (const Backend& b : kBackends) {
-    if (b.name == name) return &b;
-  }
-  return nullptr;
-}
-
 }  // namespace internal
 
 namespace {

@@ -52,7 +52,4 @@ struct Backend {
 /// (fastest first). The last entry is portable, which every CPU supports.
 std::span<const Backend> compiled_backends() noexcept;
 
-/// The compiled backend called `name`, or nullptr if this build has none.
-const Backend* find_backend(std::string_view name) noexcept;
-
 }  // namespace sh::util::detmath::internal
