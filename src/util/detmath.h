@@ -12,7 +12,10 @@
 //     sequence is written once in detmath_kernels.h with every fused
 //     multiply-add spelled std::fma, and the backend translation units
 //     compile with -ffp-contract=off, so no backend can fuse or reorder
-//     differently from another.
+//     differently from another. A NaN result is NaN on every entry point,
+//     but its sign and payload are not part of the contract: IEEE 754
+//     leaves open which NaN operand an add propagates, and compilers
+//     commute adds.
 //   * accuracy — faithfully rounded (error < 1 ulp) over the supported
 //     argument range; arguments outside it (|x| > 2^26 for sin/cos,
 //     |x| > 700 for exp, NaN/inf) fall back to libm per element, applied
