@@ -72,9 +72,20 @@ double FadingProcess::gain_db(double tau, const RicianMix& mix) const noexcept {
   return db < kGainFloorDb ? kGainFloorDb : db;
 }
 
-void FadingProcess::compose_gain_n(std::size_t n, const RicianMix& mix,
-                                   double* out,
-                                   BlockScratch& scratch) const noexcept {
+void FadingProcess::gain_db_n(const double* tau, std::size_t n,
+                              const RicianMix& mix, double* out,
+                              BlockScratch& scratch) const {
+  scratch.gi.resize(n);
+  scratch.gq.resize(n);
+  scratch.ang.resize(n);
+  scratch.sin_v.resize(n);
+  scratch.cos_v.resize(n);
+  util::detmath::fade_sum_n(tau, n, omega_.data(), phase_i_.data(),
+                            phase_q_.data(), omega_.size(), scratch.gi.data(),
+                            scratch.gq.data());
+  double* ang = scratch.ang.data();
+  for (std::size_t k = 0; k < n; ++k) ang[k] = kTwoPi * tau[k] + los_phase_;
+  util::detmath::sincos_n(ang, n, scratch.sin_v.data(), scratch.cos_v.data());
   // Tail of gain_db after the scattered sums: identical expression shapes,
   // element by element (the project targets a no-FMA baseline ISA, so plain
   // mul/add here can never be contracted differently from the scalar path).
@@ -95,76 +106,6 @@ void FadingProcess::compose_gain_n(std::size_t n, const RicianMix& mix,
     const double db = 10.0 * std::log10(power);
     out[k] = db < kGainFloorDb ? kGainFloorDb : db;
   }
-}
-
-void FadingProcess::gain_db_n(const double* tau, std::size_t n,
-                              const RicianMix& mix, double* out,
-                              BlockScratch& scratch) const {
-  scratch.gi.resize(n);
-  scratch.gq.resize(n);
-  scratch.ang.resize(n);
-  scratch.sin_v.resize(n);
-  scratch.cos_v.resize(n);
-  util::detmath::fade_sum_n(tau, n, omega_.data(), phase_i_.data(),
-                            phase_q_.data(), omega_.size(), scratch.gi.data(),
-                            scratch.gq.data());
-  double* ang = scratch.ang.data();
-  for (std::size_t k = 0; k < n; ++k) ang[k] = kTwoPi * tau[k] + los_phase_;
-  util::detmath::sincos_n(ang, n, scratch.sin_v.data(), scratch.cos_v.data());
-  compose_gain_n(n, mix, out, scratch);
-}
-
-void FadingProcess::gain_db_n_fast(const double* tau, std::size_t n,
-                                   const RicianMix& mix, double* out,
-                                   BlockScratch& scratch) const {
-  if (n == 0) return;
-  const std::size_t np = omega_.size();
-  scratch.gi.resize(n);
-  scratch.gq.resize(n);
-  scratch.sin_v.resize(n);
-  scratch.cos_v.resize(n);
-  // 2*np rotators: lanes [0, np) track cos(omega*tau + phase_i) for gi,
-  // lanes [np, 2*np) track the phase_q set for gq. Every lane is seeded
-  // exactly (dsincos at tau[0]) and stepped by the first tau difference —
-  // within one mobility/Doppler span tau is affine in the slot index, so
-  // the only divergence from the exact path is the rotation round-off.
-  scratch.rot_c.resize(2 * np);
-  scratch.rot_s.resize(2 * np);
-  scratch.rot_dc.resize(2 * np);
-  scratch.rot_ds.resize(2 * np);
-  const double dtau = n >= 2 ? tau[1] - tau[0] : 0.0;
-  for (std::size_t p = 0; p < np; ++p) {
-    const double theta = omega_[p] * tau[0];
-    util::detmath::dsincos(theta + phase_i_[p], scratch.rot_s[p],
-                           scratch.rot_c[p]);
-    util::detmath::dsincos(theta + phase_q_[p], scratch.rot_s[np + p],
-                           scratch.rot_c[np + p]);
-    double step_s = 0.0;
-    double step_c = 1.0;
-    util::detmath::dsincos(omega_[p] * dtau, step_s, step_c);
-    scratch.rot_dc[p] = step_c;
-    scratch.rot_ds[p] = step_s;
-    scratch.rot_dc[np + p] = step_c;
-    scratch.rot_ds[np + p] = step_s;
-  }
-  util::detmath::rotator_sum_block(scratch.rot_c.data(), scratch.rot_s.data(),
-                                   scratch.rot_dc.data(), scratch.rot_ds.data(),
-                                   np, n, scratch.gi.data());
-  util::detmath::rotator_sum_block(
-      scratch.rot_c.data() + np, scratch.rot_s.data() + np,
-      scratch.rot_dc.data() + np, scratch.rot_ds.data() + np, np, n,
-      scratch.gq.data());
-  // LOS rotator, emitting both coordinates per slot.
-  double los_s = 0.0;
-  double los_c = 1.0;
-  util::detmath::dsincos(kTwoPi * tau[0] + los_phase_, los_s, los_c);
-  double dls = 0.0;
-  double dlc = 1.0;
-  util::detmath::dsincos(kTwoPi * dtau, dls, dlc);
-  util::detmath::rotator_emit_block(los_c, los_s, dlc, dls, n,
-                                    scratch.cos_v.data(),
-                                    scratch.sin_v.data());
-  compose_gain_n(n, mix, out, scratch);
 }
 
 DopplerClock::DopplerClock(const sim::MobilityScenario& scenario, Config config) {
@@ -209,8 +150,7 @@ double DopplerClock::doppler_hz_at(Time t) const noexcept {
   return seg->hz;
 }
 
-const DopplerClock::Segment& DopplerClock::Cursor::segment_at(
-    Time t) noexcept {
+DopplerClock::Cursor::Span DopplerClock::Cursor::span_at(Time t) noexcept {
   const auto& segments = clock_->segments_;
   // Random-access fallback: a backwards step restarts the walk from the
   // first segment. Either way the selected segment is the last one whose
@@ -219,12 +159,7 @@ const DopplerClock::Segment& DopplerClock::Cursor::segment_at(
   while (index_ + 1 < segments.size() && segments[index_ + 1].start <= t) {
     ++index_;
   }
-  return segments[index_];
-}
-
-DopplerClock::Cursor::Span DopplerClock::Cursor::span_at(Time t) noexcept {
-  const Segment& seg = segment_at(t);
-  const auto& segments = clock_->segments_;
+  const Segment& seg = segments[index_];
   const Time next = index_ + 1 < segments.size()
                         ? segments[index_ + 1].start
                         : std::numeric_limits<Time>::max();

@@ -48,11 +48,10 @@ class FadingProcess {
   /// Same gain with precomputed mixing weights (the hot-path form).
   double gain_db(double tau, const RicianMix& mix) const noexcept;
 
-  /// Reusable buffers for the block kernels, owned by the caller so one
+  /// Reusable buffers for the block kernel, owned by the caller so one
   /// allocation serves every block of a trace.
   struct BlockScratch {
     std::vector<double> gi, gq, ang, sin_v, cos_v;
-    std::vector<double> rot_c, rot_s, rot_dc, rot_ds;  ///< Fast-path rotators.
   };
 
   /// Block form of gain_db: out[k] is bit-identical to
@@ -62,19 +61,7 @@ class FadingProcess {
   void gain_db_n(const double* tau, std::size_t n, const RicianMix& mix,
                  double* out, BlockScratch& scratch) const;
 
-  /// Approximate block form for --fast-trace: each path's sinusoid advances
-  /// by phase rotation (seeded exactly at tau[0], stepped by the first tau
-  /// difference) instead of a fresh cos per slot. Statistically equivalent
-  /// (drift O(n * eps) per call — callers bound n by the block size) but
-  /// NOT bit-identical to gain_db; must never feed golden-pinned artifacts.
-  void gain_db_n_fast(const double* tau, std::size_t n, const RicianMix& mix,
-                      double* out, BlockScratch& scratch) const;
-
  private:
-  /// Shared tail of the block kernels: normalize, mix LOS, power -> dB.
-  void compose_gain_n(std::size_t n, const RicianMix& mix, double* out,
-                      BlockScratch& scratch) const noexcept;
-
   // The scattered paths, one entry each, as parallel arrays (the layout
   // detmath::fade_sum_n takes).
   std::vector<double> omega_;    ///< 2*pi*cos(alpha): Doppler phase rate.
@@ -112,27 +99,21 @@ class DopplerClock {
   };
 
  public:
-  /// Monotone segment cursor. Sequential trace generation queries the clock
-  /// once per slot with non-decreasing times; the cursor advances the
-  /// segment index incrementally (amortized O(1)) instead of re-scanning the
-  /// segment list on every call. The arithmetic is the random-access
-  /// formula verbatim, so results are bit-identical; a query that steps
-  /// backwards resets the cursor and re-walks from the first segment, so
-  /// monotonicity is a fast path, never a correctness requirement.
+  /// Monotone segment cursor for the block kernel, which queries the clock
+  /// with non-decreasing times: the segment index advances incrementally
+  /// (amortized O(1)) instead of re-scanning the segment list on every
+  /// call. A query that steps backwards resets the cursor and re-walks from
+  /// the first segment, so monotonicity is a fast path, never a correctness
+  /// requirement.
   class Cursor {
    public:
     explicit Cursor(const DopplerClock& clock) noexcept : clock_(&clock) {}
 
-    double tau_at(Time t) noexcept {
-      const Segment& seg = segment_at(t);
-      return seg.tau_start + seg.hz * to_seconds(t - seg.start);
-    }
-    double doppler_hz_at(Time t) noexcept { return segment_at(t).hz; }
-
-    /// Segment parameters for span-at-a-time evaluation (the block kernel):
-    /// the segment containing `t` plus the time the next segment begins
-    /// (Time max for the last segment). tau at any u in [start, next_start)
-    /// is tau_start + hz * to_seconds(u - start) — the tau_at formula.
+    /// Segment parameters for span-at-a-time evaluation: the segment
+    /// containing `t` (the one tau_at picks) plus the time the next segment
+    /// begins (Time max for the last segment). tau at any u in
+    /// [start, next_start) is tau_start + hz * to_seconds(u - start) — the
+    /// tau_at formula.
     struct Span {
       double tau_start;
       double hz;
@@ -142,8 +123,6 @@ class DopplerClock {
     Span span_at(Time t) noexcept;
 
    private:
-    const Segment& segment_at(Time t) noexcept;
-
     const DopplerClock* clock_;
     std::size_t index_ = 0;
   };

@@ -17,9 +17,6 @@ std::string trace_config_key(const TraceGeneratorConfig& config) {
   std::string key;
   key.reserve(160);
   key.push_back(static_cast<char>(config.env));
-  // Fast-trace output differs bit-wise from the exact kernel, so the two
-  // modes must never share a cache entry.
-  key.push_back(config.fast_trace ? '\1' : '\0');
   util::append_key_u64(key, config.seed);
   util::append_key_i64(key, config.slot_duration);
   util::append_key_i64(key, config.payload_bytes);

@@ -26,10 +26,9 @@
 namespace sh::channel {
 
 /// Canonical byte-exact key for a TraceGeneratorConfig: every field — the
-/// environment, the fast-trace mode, each mobility phase, seed,
-/// slot/payload, the SNR offsets and noise, the shadowing scale and clock,
-/// and the drive-by geometry — serialized in a fixed order, doubles as raw
-/// IEEE-754 bit patterns. Two configs share a key iff generate_trace is
+/// environment, each mobility phase, seed, slot/payload, the SNR offsets
+/// and noise, the shadowing scale and clock, and the drive-by geometry —
+/// serialized in a fixed order, doubles as raw IEEE-754 bit patterns. Two configs share a key iff generate_trace is
 /// guaranteed to produce the same trace.
 std::string trace_config_key(const TraceGeneratorConfig& config);
 

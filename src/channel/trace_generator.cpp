@@ -1,7 +1,6 @@
 #include "channel/trace_generator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -105,92 +104,9 @@ bool ChannelRealization::sample_delivery(Time t, mac::RateIndex rate,
   return rng.bernoulli(delivery_probability_at(t, rate, payload_bytes));
 }
 
-ChannelRealization::Cursor::Cursor(const ChannelRealization& channel) noexcept
-    : ch_(&channel),
-      doppler_(channel.doppler_),
-      shadow_(channel.shadow_clock_),
-      mix_static_(
-          FadingProcess::RicianMix::from_k(channel.profile_->rician_k_static)),
-      mix_mobile_(
-          FadingProcess::RicianMix::from_k(channel.profile_->rician_k_mobile)) {
-}
-
-const sim::MobilityPhase& ChannelRealization::Cursor::phase_at(
-    Time t) noexcept {
-  // Same selection as MobilityScenario::phase_at: the first phase whose
-  // [start, start + duration) interval contains t, or the last phase for t
-  // past the end of the script.
-  const auto& phases = ch_->scenario_.phases();
-  if (t < phase_start_) {  // Backwards step: random-access fallback.
-    phase_index_ = 0;
-    phase_start_ = 0;
-  }
-  while (phase_index_ + 1 < phases.size() &&
-         t >= phase_start_ + phases[phase_index_].duration) {
-    phase_start_ += phases[phase_index_].duration;
-    ++phase_index_;
-  }
-  return phases[phase_index_];
-}
-
-bool ChannelRealization::Cursor::in_burst(Time t) noexcept {
-  // Same selection as the lower_bound in ChannelRealization::in_burst: the
-  // first burst ending after t. Bursts are sorted and non-overlapping, so
-  // for monotone t the index only ever moves forward.
-  const auto& bursts = ch_->bursts_;
-  if (burst_index_ > 0 && burst_index_ <= bursts.size() &&
-      bursts[burst_index_ - 1].second > t) {
-    burst_index_ = 0;  // Backwards step: random-access fallback.
-  }
-  while (burst_index_ < bursts.size() && bursts[burst_index_].second <= t) {
-    ++burst_index_;
-  }
-  return burst_index_ < bursts.size() && bursts[burst_index_].first <= t;
-}
-
-double ChannelRealization::Cursor::distance_path_loss_db(Time t) noexcept {
-  if (ch_->env_ != Environment::kVehicular) return 0.0;
-  // Same checkpoint selection as ChannelRealization::distance_path_loss_db
-  // (the last checkpoint at or before t), then the identical geometry math.
-  const auto& checkpoints = ch_->distance_checkpoints_;
-  if (checkpoints[checkpoint_index_].first > t) checkpoint_index_ = 0;
-  while (checkpoint_index_ + 1 < checkpoints.size() &&
-         checkpoints[checkpoint_index_ + 1].first <= t) {
-    ++checkpoint_index_;
-  }
-  const std::pair<Time, double>& cp = checkpoints[checkpoint_index_];
-  const double s = cp.second + phase_at(t).speed_mps * to_seconds(t - cp.first);
-  const DriveByGeometry& geometry = ch_->geometry_;
-  const double length = geometry.road_half_length_m;
-  const double cycle = 4.0 * length;
-  double m = std::fmod(s + geometry.start_position_m + length, cycle);
-  if (m < 0.0) m += cycle;
-  const double pos = (m < 2.0 * length) ? (-length + m) : (3.0 * length - m);
-  const double dist = std::hypot(geometry.lateral_offset_m, pos);
-  return 10.0 * geometry.path_loss_exponent *
-         std::log10(dist / geometry.lateral_offset_m);
-}
-
-double ChannelRealization::Cursor::snr_db_at(Time t) noexcept {
-  // Term-for-term the expression in ChannelRealization::snr_db_at, with each
-  // piecewise lookup served by a cursor instead of a scan.
-  const bool moving = sim::is_moving(phase_at(t).state);
-  const FadingProcess::RicianMix& mix = moving ? mix_mobile_ : mix_static_;
-  const double fade = ch_->fading_.gain_db(doppler_.tau_at(t), mix);
-  const double burst = in_burst(t) ? ch_->profile_->burst_depth_db : 0.0;
-  return ch_->profile_->mean_snr_db + ch_->snr_offset_db_ -
-         distance_path_loss_db(t) +
-         ch_->shadowing_.offset_db(shadow_.tau_at(t)) + fade - burst;
-}
-
-bool ChannelRealization::Cursor::moving_at(Time t) noexcept {
-  return sim::is_moving(phase_at(t).state);
-}
-
 ChannelRealization::BlockSampler::BlockSampler(
-    const ChannelRealization& channel, bool fast) noexcept
+    const ChannelRealization& channel) noexcept
     : ch_(&channel),
-      fast_(fast),
       doppler_(channel.doppler_),
       shadow_(channel.shadow_clock_),
       mix_static_(
@@ -201,11 +117,12 @@ ChannelRealization::BlockSampler::BlockSampler(
 
 const sim::MobilityPhase& ChannelRealization::BlockSampler::phase_walk(
     Time t, Time& next_start) noexcept {
-  // Identical selection to Cursor::phase_at, plus the time at which the
-  // selection would change (Time max while in the last phase, which extends
-  // past the end of the script).
+  // Same selection as MobilityScenario::phase_at: the first phase whose
+  // [start, start + duration) interval contains t, or the last phase for t
+  // past the end of the script. Also reports the time at which the
+  // selection would change (Time max while in the last phase).
   const auto& phases = ch_->scenario_.phases();
-  if (t < phase_start_) {
+  if (t < phase_start_) {  // Backwards step: random-access fallback.
     phase_index_ = 0;
     phase_start_ = 0;
   }
@@ -222,7 +139,8 @@ const sim::MobilityPhase& ChannelRealization::BlockSampler::phase_walk(
 
 const std::pair<Time, double>& ChannelRealization::BlockSampler::checkpoint_walk(
     Time t, Time& next_start) noexcept {
-  // Identical selection to Cursor::distance_path_loss_db's checkpoint walk.
+  // Same selection as ChannelRealization::distance_path_loss_db: the last
+  // checkpoint at or before t.
   const auto& checkpoints = ch_->distance_checkpoints_;
   if (checkpoints[checkpoint_index_].first > t) checkpoint_index_ = 0;
   while (checkpoint_index_ + 1 < checkpoints.size() &&
@@ -268,8 +186,8 @@ void ChannelRealization::BlockSampler::sample_n(const Time* mid, std::size_t n,
     while (j < n && mid[j] < span_end) ++j;
     const std::size_t len = j - i;
 
-    // Same per-element formula as DopplerClock::Cursor::tau_at, with the
-    // segment hoisted: tau_start + hz * to_seconds(t - start).
+    // Same per-element formula as DopplerClock::tau_at, with the segment
+    // hoisted: tau_start + hz * to_seconds(t - start).
     for (std::size_t k = i; k < j; ++k) {
       tau_[k] = dop.tau_start + dop.hz * to_seconds(mid[k] - dop.start);
     }
@@ -280,8 +198,9 @@ void ChannelRealization::BlockSampler::sample_n(const Time* mid, std::size_t n,
     for (std::size_t k = i; k < j; ++k) moving_out[k] = moving;
 
     if (checkpoint != nullptr) {
-      // Cursor::distance_path_loss_db's geometry, term for term (libm fmod/
-      // hypot/log10 stay scalar calls on identical operands).
+      // distance_path_loss_db's geometry, term for term (libm fmod/hypot/
+      // log10 stay scalar calls on identical operands). The phase's speed is
+      // scenario_.speed_at(t): both pick the same phase.
       const DriveByGeometry& geometry = ch_->geometry_;
       const double length = geometry.road_half_length_m;
       const double cycle = 4.0 * length;
@@ -301,20 +220,17 @@ void ChannelRealization::BlockSampler::sample_n(const Time* mid, std::size_t n,
     }
 
     const FadingProcess::RicianMix& mix = moving ? mix_mobile_ : mix_static_;
-    if (fast_) {
-      ch_->fading_.gain_db_n_fast(tau_.data() + i, len, mix, fade_.data() + i,
-                                  fade_scratch_);
-    } else {
-      ch_->fading_.gain_db_n(tau_.data() + i, len, mix, fade_.data() + i,
-                             fade_scratch_);
-    }
+    ch_->fading_.gain_db_n(tau_.data() + i, len, mix, fade_.data() + i,
+                           fade_scratch_);
     ch_->shadowing_.offset_db_n(sprog_.data() + i, len, shadow_off_.data() + i);
     i = j;
   }
 
   // Pass 2: interference bursts (their boundaries are independent of the
-  // phase structure) via Cursor::in_burst's monotone walk, then the SNR
-  // composition in the exact scalar association order:
+  // phase structure) via a monotone walk to the first burst ending after t
+  // (the lower_bound in ChannelRealization::in_burst; bursts are sorted and
+  // non-overlapping), then the SNR composition in the exact scalar
+  // association order:
   // ((((mean + offset) - path_loss) + shadowing) + fade) - burst.
   const double base = ch_->profile_->mean_snr_db + ch_->snr_offset_db_;
   const double depth = ch_->profile_->burst_depth_db;
@@ -323,7 +239,7 @@ void ChannelRealization::BlockSampler::sample_n(const Time* mid, std::size_t n,
     const Time t = mid[k];
     if (burst_index_ > 0 && burst_index_ <= bursts.size() &&
         bursts[burst_index_ - 1].second > t) {
-      burst_index_ = 0;
+      burst_index_ = 0;  // Backwards step: random-access fallback.
     }
     while (burst_index_ < bursts.size() && bursts[burst_index_].second <= t) {
       ++burst_index_;
@@ -362,10 +278,8 @@ PacketFateTrace generate_trace_scalar(const TraceGeneratorConfig& config,
   // are decorrelated.
   util::Rng fate_rng(config.seed ^ 0xF47E5EEDULL);
 
-  // One monotone cursor walk per slot plus precomputed per-rate delivery
-  // thresholds. Both reproduce the random-access arithmetic bit-for-bit
-  // (golden-trace hashes pin this).
-  ChannelRealization::Cursor cursor(channel);
+  // Random access per slot plus precomputed per-rate delivery thresholds
+  // (DeliveryModel reproduces delivery_probability bit for bit).
   const DeliveryModel delivery(config.payload_bytes);
 
   // Tail policy (see header): a trailing partial slot is truncated.
@@ -378,10 +292,10 @@ PacketFateTrace generate_trace_scalar(const TraceGeneratorConfig& config,
     const Time mid = static_cast<Time>(i) * config.slot_duration +
                      config.slot_duration / 2;
     TraceSlot slot;
-    const double true_snr = cursor.snr_db_at(mid);
+    const double true_snr = channel.snr_db_at(mid);
     slot.snr_db = static_cast<float>(
         true_snr + fate_rng.normal(0.0, config.snr_noise_db));
-    slot.moving = cursor.moving_at(mid);
+    slot.moving = channel.moving_at(mid);
     for (int r = 0; r < mac::kNumRates; ++r) {
       slot.delivered[static_cast<std::size_t>(r)] =
           fate_rng.bernoulli(delivery.probability(true_snr, r));
@@ -400,7 +314,7 @@ PacketFateTrace generate_trace_block(const TraceGeneratorConfig& config,
                              config.geometry, config.snr_offset_db,
                              config.shadow_sigma_scale, config.shadow_clock);
   util::Rng fate_rng(config.seed ^ 0xF47E5EEDULL);
-  ChannelRealization::BlockSampler sampler(channel, config.fast_trace);
+  ChannelRealization::BlockSampler sampler(channel);
   const DeliveryModel delivery(config.payload_bytes);
 
   const Duration total = config.scenario.total_duration();

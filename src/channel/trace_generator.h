@@ -58,45 +58,7 @@ class ChannelRealization {
   const EnvironmentProfile& profile() const noexcept { return *profile_; }
   Duration duration() const noexcept { return scenario_.total_duration(); }
 
-  /// Monotone sampling cursor over one realization. Sequential generation
-  /// queries SNR once per slot with non-decreasing times; the cursor walks
-  /// every piecewise structure behind snr_db_at — mobility phases, Doppler
-  /// and shadowing segments, interference bursts, distance checkpoints —
-  /// incrementally (amortized O(1) per query) instead of re-locating each
-  /// via a scan or binary search per call.
-  ///
-  /// Invariants (see DESIGN.md "SlotCursor"):
-  ///  * bit-identical to the random-access methods: every formula is the
-  ///    same arithmetic on the same segment, so snr_db_at/moving_at agree
-  ///    with ChannelRealization's own methods for every t;
-  ///  * monotone queries are the fast path only — a query earlier than its
-  ///    predecessor resets the affected cursor to the first segment and
-  ///    re-walks (the random-access fallback), never returns stale state.
-  class Cursor {
-   public:
-    explicit Cursor(const ChannelRealization& channel) noexcept;
-
-    double snr_db_at(Time t) noexcept;
-    bool moving_at(Time t) noexcept;
-
-   private:
-    const sim::MobilityPhase& phase_at(Time t) noexcept;
-    bool in_burst(Time t) noexcept;
-    double distance_path_loss_db(Time t) noexcept;
-
-    const ChannelRealization* ch_;
-    DopplerClock::Cursor doppler_;
-    DopplerClock::Cursor shadow_;
-    /// Rician weights for the two motion states, hoisted out of gain_db.
-    FadingProcess::RicianMix mix_static_;
-    FadingProcess::RicianMix mix_mobile_;
-    std::size_t phase_index_ = 0;
-    Time phase_start_ = 0;
-    std::size_t burst_index_ = 0;
-    std::size_t checkpoint_index_ = 0;
-  };
-
-  /// Structure-of-arrays block sampler: the batched counterpart of Cursor.
+  /// Structure-of-arrays block sampler: the production form of snr_db_at.
   /// sample_n fills true SNR and motion for a whole run of non-decreasing
   /// slot midpoints at once — it walks the piecewise structures (mobility
   /// phases, Doppler/shadow segments, distance checkpoints) to cut the run
@@ -104,21 +66,18 @@ class ChannelRealization {
   /// contiguous arrays via the detmath batch kernels, then applies the
   /// interference bursts with a per-slot monotone walk.
   ///
-  /// Exact mode (fast = false) is bit-identical to Cursor::snr_db_at /
-  /// moving_at for every midpoint — same segment-selection rules, same
-  /// arithmetic on the same doubles (tests/trace_kernel_test.cpp pins this
-  /// differentially and property-wise). Fast mode replaces the per-slot
-  /// fading cosines with block-seeded phase rotators (see
-  /// FadingProcess::gain_db_n_fast): statistically equivalent, never fed to
-  /// golden-pinned artifacts.
+  /// Bit-identical to snr_db_at / moving_at for every midpoint — same
+  /// segment-selection rules, same arithmetic on the same doubles
+  /// (tests/trace_kernel_test.cpp pins this differentially and
+  /// property-wise).
   class BlockSampler {
    public:
-    explicit BlockSampler(const ChannelRealization& channel,
-                          bool fast = false) noexcept;
+    explicit BlockSampler(const ChannelRealization& channel) noexcept;
 
-    /// Preconditions: mid[0..n) non-decreasing (and non-decreasing across
-    /// calls for the monotone fast path; a backwards step re-walks like
-    /// Cursor does).
+    /// Preconditions: mid[0..n) non-decreasing. Runs that are
+    /// non-decreasing across calls take the monotone fast path; a run that
+    /// starts earlier than its predecessor re-walks from the first segment,
+    /// never returns stale state.
     void sample_n(const Time* mid, std::size_t n, double* snr_out,
                   bool* moving_out);
 
@@ -128,7 +87,6 @@ class ChannelRealization {
                                                    Time& next_start) noexcept;
 
     const ChannelRealization* ch_;
-    bool fast_;
     DopplerClock::Cursor doppler_;
     DopplerClock::Cursor shadow_;
     FadingProcess::RicianMix mix_static_;
@@ -188,13 +146,6 @@ struct TraceGeneratorConfig {
   /// (body shadowing on a longer path varies over many seconds).
   DopplerClock::Config shadow_clock{0.04, 1.6, 0.9};
   DriveByGeometry geometry{};
-  /// Opt-in approximate fading evaluation (CLI: --fast-trace). The fading
-  /// sinusoids advance by per-block phase rotation instead of a fresh
-  /// cosine per slot — statistically equivalent to the exact kernel
-  /// (pinned by the fast-trace tier in tests/trace_kernel_test.cpp) but
-  /// not bit-identical, so fast traces are keyed separately by the trace
-  /// cache and MUST NOT feed golden-pinned artifacts.
-  bool fast_trace = false;
 };
 
 /// Generates a packet-fate trace by sampling a fresh channel realization.
@@ -210,10 +161,10 @@ struct TraceGeneratorConfig {
 /// builds must not silently divide by zero where a debug build asserts).
 PacketFateTrace generate_trace(const TraceGeneratorConfig& config);
 
-/// Reference implementation: the PR 4 scalar cursor walk, one slot at a
-/// time. generate_trace (the block kernel) is bit-identical to this for
-/// every config with fast_trace == false; the differential `kernel` test
-/// tier holds the two against each other. If `true_snr_out` is non-null it
+/// Reference implementation: ChannelRealization's random-access snr_db_at /
+/// moving_at, one slot at a time, with the same fate draws. generate_trace
+/// (the block kernel) is bit-identical to this for every config; the
+/// differential `kernel` test tier holds the two against each other. If `true_snr_out` is non-null it
 /// receives the per-slot true SNR doubles (before observation noise), the
 /// quantity the differential tests compare at full double precision.
 PacketFateTrace generate_trace_scalar(const TraceGeneratorConfig& config,

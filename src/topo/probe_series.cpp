@@ -1,6 +1,5 @@
 #include "topo/probe_series.h"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace sh::topo {
@@ -21,7 +20,10 @@ ProbeSeries::ProbeSeries(Duration interval, std::vector<bool> fates,
 
 ProbeSeries ProbeSeries::from_trace(const channel::PacketFateTrace& trace,
                                     mac::RateIndex rate) {
-  assert(mac::valid_rate(rate));
+  // Checked in every build: `rate` indexes the 8-entry delivered array.
+  if (!mac::valid_rate(rate)) {
+    throw std::invalid_argument("ProbeSeries::from_trace: invalid rate");
+  }
   std::vector<bool> fates;
   std::vector<bool> moving;
   fates.reserve(trace.size());
@@ -41,9 +43,17 @@ std::size_t ProbeSeries::index_at(Time t) const noexcept {
 }
 
 double ProbeSeries::actual_probability(std::size_t i, int window) const {
-  assert(window > 0);
-  assert(i + 1 >= static_cast<std::size_t>(window));
-  assert(i < fates_.size());
+  // Checked in every build with plain compares (the probing evaluation
+  // calls this once per probe). A non-positive window would convert to a
+  // huge size_t below; the window must end at i inside the series.
+  if (window <= 0) {
+    throw std::invalid_argument(
+        "ProbeSeries::actual_probability: window must be positive");
+  }
+  if (i >= fates_.size() || i + 1 < static_cast<std::size_t>(window)) {
+    throw std::out_of_range(
+        "ProbeSeries::actual_probability: window outside the series");
+  }
   std::size_t delivered = 0;
   for (std::size_t j = i + 1 - static_cast<std::size_t>(window); j <= i; ++j)
     if (fates_[j]) ++delivered;

@@ -21,7 +21,8 @@ class ProbeSeries {
               std::vector<bool> moving);
 
   /// Extracts the dense series for `rate` from a packet-fate trace (one
-  /// probe per trace slot).
+  /// probe per trace slot). Throws std::invalid_argument unless
+  /// mac::valid_rate(rate).
   static ProbeSeries from_trace(const channel::PacketFateTrace& trace,
                                 mac::RateIndex rate = mac::slowest_rate());
 
@@ -39,7 +40,9 @@ class ProbeSeries {
 
   /// "Actual" delivery probability at dense index `i`: the mean of the
   /// `window` most recent dense fates ending at `i` (the paper's 10-packet
-  /// sliding window over the 200/s stream). Requires i + 1 >= window.
+  /// sliding window over the 200/s stream). Throws std::invalid_argument
+  /// unless window > 0, and std::out_of_range unless i < size() and
+  /// i + 1 >= window.
   double actual_probability(std::size_t i, int window = 10) const;
 
  private:

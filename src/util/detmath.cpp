@@ -95,18 +95,6 @@ void sinusoid_accumulate_n(const double* x, std::size_t n, double amp,
   active().sinusoid_accumulate_n(x, n, amp, omega, phase, acc);
 }
 
-void rotator_sum_block(double* c, double* s, const double* dc,
-                       const double* ds, std::size_t m, std::size_t n,
-                       double* out) noexcept {
-  active().rotator_sum_block(c, s, dc, ds, m, n, out);
-}
-
-void rotator_emit_block(double& c, double& s, double dc, double ds,
-                        std::size_t n, double* cos_out,
-                        double* sin_out) noexcept {
-  active().rotator_emit_block(c, s, dc, ds, n, cos_out, sin_out);
-}
-
 const char* backend() noexcept { return active().name; }
 
 }  // namespace sh::util::detmath

@@ -74,24 +74,6 @@ void fade_sum_n(const double* tau, std::size_t n, const double* omega,
 void sinusoid_accumulate_n(const double* x, std::size_t n, double amp,
                            double omega, double phase, double* acc) noexcept;
 
-/// Fast-trace rotation kernels (approximate path only — never used by the
-/// exact block kernel). `m` unit rotators with states (c[p], s[p]) and
-/// per-step rotation (dc[p], ds[p]): for each of `n` steps, out[k] gets the
-/// sum of the current cos-states (in lane order p = 0..m-1), then every
-/// rotator advances one step. Deterministic across backends like the rest
-/// of detmath, but *approximate* versus re-evaluating dcos at each angle:
-/// the recurrence drifts by O(n * eps), which is why callers re-seed the
-/// states from dsincos at every block boundary.
-void rotator_sum_block(double* c, double* s, const double* dc,
-                       const double* ds, std::size_t m, std::size_t n,
-                       double* out) noexcept;
-
-/// Single rotator variant emitting both coordinates per step: cos_out[k] /
-/// sin_out[k] get the state *before* the k-th advance.
-void rotator_emit_block(double& c, double& s, double dc, double ds,
-                        std::size_t n, double* cos_out,
-                        double* sin_out) noexcept;
-
 /// Name of the active backend ("avx512", "avx2" or "portable"), for logs
 /// and tests.
 const char* backend() noexcept;

@@ -25,10 +25,6 @@ struct Vtable {
                      const double*, std::size_t, double*, double*) noexcept;
   void (*sinusoid_accumulate_n)(const double*, std::size_t, double, double,
                                 double, double*) noexcept;
-  void (*rotator_sum_block)(double*, double*, const double*, const double*,
-                            std::size_t, std::size_t, double*) noexcept;
-  void (*rotator_emit_block)(double&, double&, double, double, std::size_t,
-                             double*, double*) noexcept;
   const char* name;
 };
 

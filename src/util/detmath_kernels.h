@@ -380,49 +380,6 @@ inline void sinusoid_accumulate_n_b(const double* x, std::size_t n, double amp,
   }
 }
 
-inline void rotator_sum_block_b(double* c, double* s, const double* dc,
-                                const double* ds, std::size_t m, std::size_t n,
-                                double* out) noexcept {
-  double* __restrict cs = c;
-  double* __restrict ss = s;
-  const double* __restrict dcs = dc;
-  const double* __restrict dss = ds;
-  double* __restrict os = out;
-  for (std::size_t k = 0; k < n; ++k) {
-    double acc = 0.0;
-    for (std::size_t p = 0; p < m; ++p) acc += cs[p];
-    os[k] = acc;
-    for (std::size_t p = 0; p < m; ++p) {
-      // Givens step, deliberately unfused: each product rounds before the
-      // add/sub so the rotation matches the scalar recurrence bit-for-bit.
-      const double nc = cs[p] * dcs[p] - ss[p] * dss[p];
-      const double ns = ss[p] * dcs[p] + cs[p] * dss[p];
-      cs[p] = nc;
-      ss[p] = ns;
-    }
-  }
-}
-
-inline void rotator_emit_block_b(double& c, double& s, double dc, double ds,
-                                 std::size_t n, double* cos_out,
-                                 double* sin_out) noexcept {
-  double cc = c;
-  double sc = s;
-  double* __restrict co = cos_out;
-  double* __restrict so = sin_out;
-  for (std::size_t k = 0; k < n; ++k) {
-    co[k] = cc;
-    so[k] = sc;
-    // Same deliberately unfused Givens step as rotator_sum_block_b.
-    const double nc = cc * dc - sc * ds;
-    const double ns = sc * dc + cc * ds;
-    cc = nc;
-    sc = ns;
-  }
-  c = cc;
-  s = sc;
-}
-
 // Non-inline vtable thunks (function pointers need addresses).
 inline double vt_dsin(double x) noexcept { return dsin_s(x); }
 inline double vt_dcos(double x) noexcept { return dcos_s(x); }
@@ -430,10 +387,10 @@ inline double vt_dexp(double x) noexcept { return dexp_s(x); }
 
 inline const internal::Vtable& vtable(const char* name) noexcept {
   static const internal::Vtable v{
-      vt_dsin,       vt_dcos,     vt_dexp,
-      dsincos_s,     sin_n_b,     cos_n_b,
-      exp_n_b,       sincos_n_b,  logistic_n_b, fade_sum_n_b,
-      sinusoid_accumulate_n_b, rotator_sum_block_b, rotator_emit_block_b,
+      vt_dsin,      vt_dcos,      vt_dexp,
+      dsincos_s,    sin_n_b,      cos_n_b,
+      exp_n_b,      sincos_n_b,   logistic_n_b,
+      fade_sum_n_b, sinusoid_accumulate_n_b,
       name,
   };
   return v;

@@ -583,48 +583,6 @@ TEST(GenerateTraceTest, RejectsNonPositivePayload) {
 }
 
 // ---------------------------------------------------------------------------
-// ChannelRealization::Cursor — must be bit-identical to random access.
-
-TEST(ChannelRealizationCursorTest, MatchesRandomAccessAcrossEnvironments) {
-  const struct {
-    Environment env;
-    sim::MobilityScenario scenario;
-  } cases[] = {
-      {Environment::kOffice, sim::MobilityScenario::all_static(10 * kSecond)},
-      {Environment::kOffice,
-       sim::MobilityScenario::static_then_walking(10 * kSecond)},
-      {Environment::kHallway, sim::MobilityScenario::all_walking(10 * kSecond)},
-      {Environment::kVehicular,
-       sim::MobilityScenario::all_vehicle(30 * kSecond, 12.0)},
-  };
-  for (const auto& c : cases) {
-    ChannelRealization ch(c.env, c.scenario, 91);
-    ChannelRealization::Cursor cursor(ch);
-    // Exact equality on purpose: the cursor promises the same doubles, not
-    // merely close ones (golden-trace hashes depend on it).
-    for (Time t = 0; t < ch.duration(); t += 3 * kMillisecond) {
-      ASSERT_EQ(cursor.snr_db_at(t), ch.snr_db_at(t)) << "t=" << t;
-      ASSERT_EQ(cursor.moving_at(t), ch.moving_at(t)) << "t=" << t;
-    }
-  }
-}
-
-TEST(ChannelRealizationCursorTest, BackwardsQueryFallsBackNotStale) {
-  const auto scenario = sim::MobilityScenario::all_vehicle(30 * kSecond, 12.0);
-  ChannelRealization ch(Environment::kVehicular, scenario, 93);
-  ChannelRealization::Cursor cursor(ch);
-  // Drive the cursor deep into the trace, then jump back: every answer must
-  // still match random access (reset-and-rewalk, never stale segments).
-  ASSERT_EQ(cursor.snr_db_at(29 * kSecond), ch.snr_db_at(29 * kSecond));
-  const Time probes[] = {0,          17 * kSecond, 2 * kSecond,
-                         25 * kSecond, kMillisecond, 29 * kSecond};
-  for (const Time t : probes) {
-    ASSERT_EQ(cursor.snr_db_at(t), ch.snr_db_at(t)) << "t=" << t;
-    ASSERT_EQ(cursor.moving_at(t), ch.moving_at(t)) << "t=" << t;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // DeliveryModel — precomputed thresholds vs the free function.
 
 TEST(DeliveryModelTest, BitIdenticalToFreeFunction) {

@@ -210,40 +210,6 @@ void expect_matches_portable(const Vtable& got) {
                                   g1.data());
         EXPECT_TRUE(same_bits(w1, g1)) << "sinusoid_accumulate_n";
       }
-
-      // Rotators: states from the pool (specials propagate through the
-      // products), steps from real unit vectors.
-      for (const std::size_t m : {std::size_t{1}, std::size_t{16}}) {
-        std::vector<double> wc = prefix(*pool, m);
-        std::vector<double> ws = prefix(other, m);
-        std::vector<double> dc(m), ds(m);
-        for (std::size_t p = 0; p < m; ++p) {
-          dc[p] = std::cos(0.01 * static_cast<double>(p + 1));
-          ds[p] = std::sin(0.01 * static_cast<double>(p + 1));
-        }
-        std::vector<double> gcs = wc;
-        std::vector<double> gss = ws;
-        want.rotator_sum_block(wc.data(), ws.data(), dc.data(), ds.data(), m,
-                               n, w1.data());
-        got.rotator_sum_block(gcs.data(), gss.data(), dc.data(), ds.data(),
-                              m, n, g1.data());
-        EXPECT_TRUE(same_bits(w1, g1)) << "rotator_sum_block out, m = " << m;
-        EXPECT_TRUE(same_bits(wc, gcs)) << "rotator_sum_block c, m = " << m;
-        EXPECT_TRUE(same_bits(ws, gss)) << "rotator_sum_block s, m = " << m;
-      }
-      for (std::size_t e = 0; e < 4; ++e) {
-        double wc = (*pool)[e];
-        double ws = other[e];
-        double gcv = wc;
-        double gsv = ws;
-        want.rotator_emit_block(wc, ws, std::cos(0.3), std::sin(0.3), n,
-                                w1.data(), w2.data());
-        got.rotator_emit_block(gcv, gsv, std::cos(0.3), std::sin(0.3), n,
-                               g1.data(), g2.data());
-        EXPECT_TRUE(same_bits(w1, g1)) << "rotator_emit_block cos";
-        EXPECT_TRUE(same_bits(w2, g2)) << "rotator_emit_block sin";
-        EXPECT_TRUE(same_bits({wc, ws}, {gcv, gsv})) << "rotator_emit_block";
-      }
     }
   }
 }

@@ -237,15 +237,17 @@ TEST(SweepCliTest, MalformedFaultPairRejected) {
 }
 
 TEST(SweepCliTest, RemovedSupervisorFlagsExitTwo) {
-  // Point-supervisor flags and exec-fault keys are not part of the CLI:
-  // each is an ordinary one-line usage error naming the offender.
+  // Point-supervisor flags, exec-fault keys and the approximate-fading
+  // switch are not part of the CLI: each is an ordinary one-line usage
+  // error naming the offender.
   const struct {
     const char* args;
     const char* named;
   } cases[] = {{" --retries 2", "--retries"},
                {" --sim-budget-s 1", "--sim-budget-s"},
                {" --watchdog-ms 5", "--watchdog-ms"},
-               {" --fault exec_crash_rate=0.1", "exec_crash_rate"}};
+               {" --fault exec_crash_rate=0.1", "exec_crash_rate"},
+               {" --fast-trace", "--fast-trace"}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.args);
     const auto r = run_cmd(sweep_cmd() + c.args);

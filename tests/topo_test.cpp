@@ -72,6 +72,27 @@ TEST(ProbeSeriesTest, ActualProbabilityWindowed) {
   EXPECT_DOUBLE_EQ(series.actual_probability(4, 5), 0.6);
 }
 
+TEST(ProbeSeriesTest, FromTraceRejectsInvalidRate) {
+  // The rate indexes the 8-entry delivered array of every slot.
+  channel::PacketFateTrace trace;
+  trace.push_back(channel::TraceSlot{});
+  EXPECT_THROW(ProbeSeries::from_trace(trace, -1), std::invalid_argument);
+  EXPECT_THROW(ProbeSeries::from_trace(trace, mac::kNumRates),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ProbeSeries::from_trace(trace, mac::kNumRates - 1));
+}
+
+TEST(ProbeSeriesTest, ActualProbabilityRejectsWindowsOutsideTheSeries) {
+  const auto series = constant_series(10, true);
+  EXPECT_THROW(series.actual_probability(9, 0), std::invalid_argument);
+  EXPECT_THROW(series.actual_probability(9, -1), std::invalid_argument);
+  EXPECT_THROW(series.actual_probability(10, 1), std::out_of_range);
+  EXPECT_THROW(series.actual_probability(3, 5), std::out_of_range);
+  // The edges that fit: the whole series, and a window ending at index 0.
+  EXPECT_DOUBLE_EQ(series.actual_probability(9, 10), 1.0);
+  EXPECT_DOUBLE_EQ(series.actual_probability(0, 1), 1.0);
+}
+
 TEST(ProbeSeriesTest, RejectsNonPositiveInterval) {
   // index_at divides by the interval.
   EXPECT_THROW(constant_series(10, true, 0), std::invalid_argument);

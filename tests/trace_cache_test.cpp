@@ -87,11 +87,6 @@ TEST(TraceConfigKeyTest, EveryFieldIsDiscriminated) {
     c.scenario = sim::MobilityScenario::all_walking(2 * kSecond);
     variants.push_back(c);
   }
-  {
-    auto c = small_config();
-    c.fast_trace = true;
-    variants.push_back(c);
-  }
   for (const auto& v : variants) {
     EXPECT_NE(trace_config_key(v), base);
   }

@@ -1,19 +1,16 @@
 // The `kernel` tier: everything that pins the block trace-generation kernel
-// (DESIGN.md "Block trace kernel") to its scalar reference.
+// (DESIGN.md "Block trace kernel") to its random-access reference.
 //
 //  * differential — generate_trace_block must be bit-identical to
-//    generate_trace_scalar: every true-SNR double compared with ==, plus an
-//    FNV-1a hash of the serialized trace, across all environments x
+//    generate_trace_scalar (ChannelRealization::snr_db_at / moving_at, one
+//    slot at a time): every true-SNR double compared with ==, plus an FNV-1a
+//    hash of the serialized trace, across all environments x
 //    static/mobile/vehicular, odd block sizes, and trace lengths straddling
 //    block boundaries (0 / 1 / block-1 / block+1 slots).
 //  * property — >= 100 randomized mobility layouts (phase edges landing
-//    mid-block on purpose): BlockSampler::sample_n must equal
-//    Cursor::snr_db_at / moving_at bit-exactly for every slot midpoint.
-//  * statistical — the opt-in --fast-trace rotator path is NOT bit-exact;
-//    over >= 64 seeds its delivery rate, SNR mean/variance, and fade
-//    durations must sit inside tolerance bands, and it must never be able
-//    to masquerade as a golden-pinned artifact (different cache key, off by
-//    default).
+//    mid-block on purpose): BlockSampler::sample_n must equal snr_db_at /
+//    moving_at bit-exactly for every slot midpoint, also when a run starts
+//    earlier than the one before it.
 //  * detmath — scalar call == batch call for every kernel the block path
 //    uses, including the n = 1 degenerate batch.
 //  * snr model — best_rate_for_snr's hoisted frame-length shift must agree
@@ -27,12 +24,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "channel/snr_model.h"
-#include "channel/trace_cache.h"
 #include "channel/trace_generator.h"
 #include "sim/mobility.h"
 #include "util/detmath.h"
@@ -180,9 +177,9 @@ TEST(TraceKernelDifferentialTest, DefaultGenerateTraceIsTheBlockKernel) {
 }
 
 // ---------------------------------------------------------------------------
-// Property: randomized mobility layouts, BlockSampler == Cursor bit-exactly.
+// Property: BlockSampler == random access bit-exactly.
 
-TEST(TraceKernelPropertyTest, RandomSegmentLayoutsMatchCursorBitExactly) {
+TEST(TraceKernelPropertyTest, RandomSegmentLayoutsMatchRandomAccessBitExactly) {
   // 100+ randomized layouts. Phase durations are drawn in raw microseconds
   // (not slot multiples), so phase, Doppler, shadow, and checkpoint edges
   // land mid-slot and mid-block — the worst case for the span-slicing walk.
@@ -207,7 +204,6 @@ TEST(TraceKernelPropertyTest, RandomSegmentLayoutsMatchCursorBitExactly) {
     const ChannelRealization channel(env, sim::MobilityScenario(phases),
                                      rng(), DriveByGeometry{},
                                      rng.uniform(-3.0, 3.0));
-    ChannelRealization::Cursor cursor(channel);
     ChannelRealization::BlockSampler sampler(channel);
 
     const Duration slot = 5 * kMillisecond;
@@ -216,123 +212,49 @@ TEST(TraceKernelPropertyTest, RandomSegmentLayoutsMatchCursorBitExactly) {
     if (n == 0) continue;
     std::vector<Time> mid(n);
     std::vector<double> snr(n);
-    std::vector<unsigned char> moving(n);  // bool storage ASan can index.
+    const std::unique_ptr<bool[]> moving(new bool[n]);
     for (std::size_t k = 0; k < n; ++k) {
       mid[k] = static_cast<Time>(k) * slot + slot / 2;
     }
-    sampler.sample_n(mid.data(), n,  snr.data(),
-                     reinterpret_cast<bool*>(moving.data()));
+    sampler.sample_n(mid.data(), n, snr.data(), moving.get());
     for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_EQ(cursor.snr_db_at(mid[k]), snr[k])
+      ASSERT_EQ(channel.snr_db_at(mid[k]), snr[k])
           << "layout " << layout << " env " << env_name(env) << " slot " << k;
-      ASSERT_EQ(cursor.moving_at(mid[k]), moving[k] != 0)
+      ASSERT_EQ(channel.moving_at(mid[k]), moving[k])
           << "layout " << layout << " slot " << k;
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Statistical: the --fast-trace rotator path.
-
-struct TraceMoments {
-  double delivery = 0.0;   ///< Delivery ratio at a mid-table rate.
-  double snr_mean = 0.0;
-  double snr_var = 0.0;
-  double fade_slots = 0.0; ///< Mean length of below-mean SNR runs.
-};
-
-TraceMoments moments(const PacketFateTrace& trace) {
-  TraceMoments m;
-  const std::size_t n = trace.size();
-  if (n == 0) return m;
-  m.delivery = trace.delivery_ratio(3);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += trace.slot(i).snr_db;
-  m.snr_mean = sum / static_cast<double>(n);
-  double var = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = trace.slot(i).snr_db - m.snr_mean;
-    var += d * d;
-  }
-  m.snr_var = var / static_cast<double>(n);
-  // Fade durations: maximal runs of slots below the trace's own mean SNR.
-  std::size_t runs = 0;
-  std::size_t faded = 0;
-  bool in_run = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool below = trace.slot(i).snr_db < m.snr_mean;
-    if (below) {
-      ++faded;
-      if (!in_run) ++runs;
+TEST(BlockSamplerTest, BackwardsRunFallsBackNotStale) {
+  // Drive the sampler deep into a 30 s vehicular trace, then start runs
+  // earlier than their predecessors: every value must still be the
+  // random-access one (reset-and-rewalk, never a stale segment). Three
+  // phases, so the backwards steps cross phase, Doppler, shadowing, and
+  // distance-checkpoint edges as well as interference bursts.
+  const sim::MobilityScenario scenario({
+      {10 * kSecond, sim::MotionState::kVehicle, 12.0},
+      {5 * kSecond, sim::MotionState::kStatic, 0.0},
+      {15 * kSecond, sim::MotionState::kVehicle, 20.0},
+  });
+  const ChannelRealization ch(Environment::kVehicular, scenario, 93);
+  ChannelRealization::BlockSampler sampler(ch);
+  constexpr std::size_t kRun = 200;
+  std::vector<Time> mid(kRun);
+  std::vector<double> snr(kRun);
+  const std::unique_ptr<bool[]> moving(new bool[kRun]);
+  const Time starts[] = {29 * kSecond, 0,           17 * kSecond,
+                         2 * kSecond,  25 * kSecond, kMillisecond};
+  for (const Time start : starts) {
+    for (std::size_t k = 0; k < kRun; ++k) {
+      mid[k] = start + static_cast<Time>(k) * 3 * kMillisecond;
     }
-    in_run = below;
+    sampler.sample_n(mid.data(), kRun, snr.data(), moving.get());
+    for (std::size_t k = 0; k < kRun; ++k) {
+      ASSERT_EQ(snr[k], ch.snr_db_at(mid[k])) << "t=" << mid[k];
+      ASSERT_EQ(moving[k], ch.moving_at(mid[k])) << "t=" << mid[k];
+    }
   }
-  m.fade_slots = runs > 0 ? static_cast<double>(faded) /
-                                static_cast<double>(runs)
-                          : 0.0;
-  return m;
-}
-
-TEST(FastTraceStatisticalTest, EquivalentMomentsOver64Seeds) {
-  // The rotator path re-seeds from dsincos at every block boundary, so its
-  // drift from the exact kernel is O(block * eps) per block — far below the
-  // channel's own variability. The bands below are therefore deliberately
-  // tight: delivery within 1 percentage point, SNR mean within 0.1 dB,
-  // SNR variance and mean fade duration within 5%, all as aggregates over
-  // 64 seeds of a mobile office trace. Widen them only with evidence that
-  // the approximation (not a bug) moved a moment.
-  constexpr int kSeeds = 64;
-  TraceMoments exact_sum, fast_sum;
-  for (int s = 0; s < kSeeds; ++s) {
-    auto cfg = kernel_config(Environment::kOffice, Mobility::kMobile,
-                             4 * kSecond, 1000 + static_cast<std::uint64_t>(s));
-    const auto exact = moments(generate_trace(cfg));
-    cfg.fast_trace = true;
-    const auto fast = moments(generate_trace(cfg));
-    exact_sum.delivery += exact.delivery;
-    exact_sum.snr_mean += exact.snr_mean;
-    exact_sum.snr_var += exact.snr_var;
-    exact_sum.fade_slots += exact.fade_slots;
-    fast_sum.delivery += fast.delivery;
-    fast_sum.snr_mean += fast.snr_mean;
-    fast_sum.snr_var += fast.snr_var;
-    fast_sum.fade_slots += fast.fade_slots;
-  }
-  const double k = 1.0 / kSeeds;
-  EXPECT_NEAR(fast_sum.delivery * k, exact_sum.delivery * k, 0.01);
-  EXPECT_NEAR(fast_sum.snr_mean * k, exact_sum.snr_mean * k, 0.1);
-  EXPECT_NEAR(fast_sum.snr_var * k, exact_sum.snr_var * k,
-              0.05 * exact_sum.snr_var * k);
-  EXPECT_NEAR(fast_sum.fade_slots * k, exact_sum.fade_slots * k,
-              0.05 * exact_sum.fade_slots * k);
-}
-
-TEST(FastTraceGuardTest, CannotReachGoldenPinnedArtifacts) {
-  // Three independent fences between --fast-trace and the golden pins:
-  // it is off by default (golden tests construct default configs), it keys
-  // differently in the trace cache (a fast trace can never be handed to a
-  // caller that asked for an exact one), and its true-SNR stream really is
-  // a different bit pattern (the approximation is not a silent no-op, so a
-  // mislabeled fast trace cannot hide behind hash equality).
-  EXPECT_FALSE(TraceGeneratorConfig{}.fast_trace);
-
-  auto cfg = kernel_config(Environment::kOffice, Mobility::kMobile,
-                           4 * kSecond, 12345);
-  const std::string exact_key = trace_config_key(cfg);
-  cfg.fast_trace = true;
-  EXPECT_NE(trace_config_key(cfg), exact_key);
-
-  std::vector<double> fast_snr;
-  generate_trace_block(cfg, kDefaultTraceBlockSlots, &fast_snr);
-  cfg.fast_trace = false;
-  std::vector<double> exact_snr;
-  generate_trace_block(cfg, kDefaultTraceBlockSlots, &exact_snr);
-  ASSERT_EQ(fast_snr.size(), exact_snr.size());
-  std::size_t differing = 0;
-  for (std::size_t i = 0; i < exact_snr.size(); ++i) {
-    if (exact_snr[i] != fast_snr[i]) ++differing;
-  }
-  EXPECT_GT(differing, 0U);
 }
 
 // ---------------------------------------------------------------------------

@@ -236,14 +236,12 @@ BenchResult bench_trace_gen_cold(const Options& o, channel::Environment env,
 }
 
 /// The block kernel measured directly: generate_trace_block at the default
-/// block size, exact mode or (for the *_fast variant) the opt-in rotator
-/// fast path. The exact variants are bit-identical to trace_gen_cold's
-/// output — the separate name exists so CI can hard-gate the kernel with
-/// --check-hard trace_gen_block while the rest of the suite stays advisory.
+/// block size. Its output is bit-identical to trace_gen_cold's — the
+/// separate name exists so CI can hard-gate the kernel with --check-hard
+/// trace_gen_block while the rest of the suite stays advisory.
 BenchResult bench_trace_gen_block(const Options& o, channel::Environment env,
-                                  bool mobile, bool fast) {
-  auto cfg = trace_cfg(env, mobile, trace_seconds(o));
-  cfg.fast_trace = fast;
+                                  bool mobile) {
+  const auto cfg = trace_cfg(env, mobile, trace_seconds(o));
   const double slots = static_cast<double>(
       channel::generate_trace_block(cfg, channel::kDefaultTraceBlockSlots)
           .size());
@@ -392,20 +390,14 @@ std::vector<BenchDef> all_benchmarks() {
                     return bench_trace_gen_cold(o, Environment::kVehicular, true);
                   }});
   defs.push_back({"trace_gen_block/office/static", [](const Options& o) {
-                    return bench_trace_gen_block(o, Environment::kOffice, false,
-                                                 /*fast=*/false);
+                    return bench_trace_gen_block(o, Environment::kOffice, false);
                   }});
   defs.push_back({"trace_gen_block/office/mobile", [](const Options& o) {
-                    return bench_trace_gen_block(o, Environment::kOffice, true,
-                                                 /*fast=*/false);
+                    return bench_trace_gen_block(o, Environment::kOffice, true);
                   }});
   defs.push_back({"trace_gen_block/vehicular/mobile", [](const Options& o) {
                     return bench_trace_gen_block(o, Environment::kVehicular,
-                                                 true, /*fast=*/false);
-                  }});
-  defs.push_back({"trace_gen_block/office/mobile_fast", [](const Options& o) {
-                    return bench_trace_gen_block(o, Environment::kOffice, true,
-                                                 /*fast=*/true);
+                                                 true);
                   }});
   defs.push_back({"sweep_points/office", bench_sweep_points});
   for (const char* adapter :

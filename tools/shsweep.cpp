@@ -75,10 +75,6 @@ struct Options {
   /// the single --hint-max-age-ms value with unchanged labels and seeding.
   std::vector<double> hint_max_age_list;
   bool trace_cache = true;
-  /// Opt-in approximate fading (TraceGeneratorConfig::fast_trace). Output
-  /// is still deterministic for a given config but NOT byte-identical to
-  /// the default sweep JSON — never use for golden comparisons.
-  bool fast_trace = false;
   /// Non-empty switches shsweep into the VANET mode: one point per vehicle
   /// count, sweeping city-scale mobility + link statistics instead of the
   /// channel grid.
@@ -136,10 +132,6 @@ struct Options {
       "  --trace-cache on|off\n"
       "                   memoize generated traces across sweep points\n"
       "                   (default on; results are identical either way)\n"
-      "  --fast-trace     approximate fading kernel (rotator recurrence):\n"
-      "                   several times faster generation, statistically\n"
-      "                   equivalent but not bit-identical to the default —\n"
-      "                   do not use where byte-stable JSON is required\n"
       "  --vanet-vehicles LIST\n"
       "                   comma list of vehicle counts; sweeps the city-scale\n"
       "                   VANET simulation (one point per count, labels\n"
@@ -357,9 +349,6 @@ Options parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--merge-allow-incomplete") == 0) {
       tracker.note("--merge-allow-incomplete");
       o.merge_allow_incomplete = true;
-    } else if (std::strcmp(argv[i], "--fast-trace") == 0) {
-      tracker.note("--fast-trace");
-      o.fast_trace = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       tracker.note("--quiet");
       o.quiet = true;
@@ -623,7 +612,6 @@ exp::RunFn make_channel_run_fn(const Options& o, const Grid& grid) {
         static_cast<std::uint64_t>(ctx.repetition);
     cfg.seed = util::Rng::derive_seed(o.base_seed, trace_run_index);
     cfg.snr_offset_db = offset_db(cell.offset);
-    cfg.fast_trace = o.fast_trace;
     const auto trace_ptr =
         o.trace_cache ? channel::generate_trace_cached(cfg)
                       : std::make_shared<const channel::PacketFateTrace>(
