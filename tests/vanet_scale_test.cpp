@@ -694,6 +694,67 @@ TEST(VanetGoldenTest, LinkRecordsPinnedAt10kVehicles) {
   EXPECT_EQ(fnv1a(os.str()), 15802522405593859367ULL);
 }
 
+/// FNV-1a over the bit patterns of every snapshot's x, y, heading and
+/// speed — the initial one and one after each of `steps` steps — of a
+/// city_for_scale run, stepped serially or on `pool`. Hashed as it goes, so
+/// a 10k-vehicle run never holds its whole trajectory.
+std::uint64_t trajectory_hash(int vehicles, TrafficSim::Routing routing,
+                              int steps, exp::ThreadPool* pool) {
+  const auto net = RoadNetwork::city_for_scale(vehicles, 5170);
+  TrafficSim::Params params;
+  params.num_vehicles = vehicles;
+  params.routing = routing;
+  TrafficSim sim(net, 5171, params);
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](double v) {
+    const std::uint64_t bits = double_bits(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (int step = 0; step <= steps; ++step) {
+    if (step > 0) {
+      if (pool != nullptr) {
+        sim.step(*pool);
+      } else {
+        sim.step();
+      }
+    }
+    for (const auto& s : sim.snapshot()) {
+      mix(s.position.x);
+      mix(s.position.y);
+      mix(s.heading_deg);
+      mix(s.speed_mps);
+    }
+  }
+  return h;
+}
+
+/// Every position, heading and reported speed of a 10k-vehicle kFollowRoad
+/// run over 200 steps, serial and sharded: the mobility step's own output,
+/// which the link pins only see through proximity.
+TEST(VanetGoldenTest, TrajectoryPinnedAt10kVehicles) {
+  constexpr std::uint64_t kPinned = 3516075034864421291ULL;
+  const auto routing = TrafficSim::Routing::kFollowRoad;
+  EXPECT_EQ(trajectory_hash(10000, routing, 200, nullptr), kPinned);
+  exp::ThreadPool pool2(2);
+  EXPECT_EQ(trajectory_hash(10000, routing, 200, &pool2), kPinned);
+  exp::ThreadPool pool8(8);
+  EXPECT_EQ(trajectory_hash(10000, routing, 200, &pool8), kPinned);
+}
+
+/// The kRandomTrips twin: shortest-path trips instead of road following.
+TEST(VanetGoldenTest, RandomTripsTrajectoryPinnedAt1kVehicles) {
+  constexpr std::uint64_t kPinned = 18228551953264822338ULL;
+  const auto routing = TrafficSim::Routing::kRandomTrips;
+  EXPECT_EQ(trajectory_hash(1000, routing, 200, nullptr), kPinned);
+  exp::ThreadPool pool2(2);
+  EXPECT_EQ(trajectory_hash(1000, routing, 200, &pool2), kPinned);
+  exp::ThreadPool pool8(8);
+  EXPECT_EQ(trajectory_hash(1000, routing, 200, &pool8), kPinned);
+}
+
 TEST(VanetGoldenTest, CteRouteChoicesPinnedAt100Vehicles) {
   const auto log = golden_log(100, 60 * kSecond);
   EXPECT_EQ(route_choice_hash(log), 17667719130752279753ULL);
