@@ -1,8 +1,9 @@
 #include "vanet/traffic_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "exp/thread_pool.h"
 
@@ -13,19 +14,29 @@ namespace {
 /// Vehicles per sharded-step block. Fixed — never derived from the thread
 /// count — so the block decomposition is the same no matter how many
 /// workers execute it (not that it matters for state: vehicles are fully
-/// independent; the constant only sizes tasks).
-constexpr std::size_t kStepBlock = 2048;
+/// independent; the constant only sizes tasks). Small enough that a
+/// 10k-vehicle step splits into 40 tasks, which a pool balances evenly
+/// whatever its size; at 2048 the same step was 5 tasks, a 3:2 split on
+/// two workers.
+constexpr std::size_t kStepBlock = 256;
 
 }  // namespace
 
 TrajectoryLog::TrajectoryLog(int num_vehicles, Duration step)
     : num_vehicles_(num_vehicles), step_(step) {
-  assert(num_vehicles > 0);
-  assert(step > 0);
+  if (num_vehicles <= 0) {
+    throw std::invalid_argument("TrajectoryLog: num_vehicles must be > 0");
+  }
+  if (step <= 0) {
+    throw std::invalid_argument("TrajectoryLog: step must be > 0");
+  }
 }
 
 void TrajectoryLog::append(std::vector<VehicleState> snapshot) {
-  assert(static_cast<int>(snapshot.size()) == num_vehicles_);
+  if (snapshot.size() != static_cast<std::size_t>(num_vehicles_)) {
+    throw std::invalid_argument(
+        "TrajectoryLog::append: snapshot size != num_vehicles");
+  }
   snapshots_.push_back(std::move(snapshot));
 }
 
@@ -37,18 +48,34 @@ const VehicleState& TrajectoryLog::at(std::size_t step_index,
 TrafficSim::TrafficSim(const RoadNetwork& net, std::uint64_t seed,
                        Params params)
     : net_(net), params_(params) {
-  assert(params_.num_vehicles > 0);
+  if (params_.num_vehicles <= 0) {
+    throw std::invalid_argument("TrafficSim: num_vehicles must be > 0");
+  }
+  if (net_.num_intersections() <= 0) {
+    throw std::invalid_argument("TrafficSim: network has no intersections");
+  }
+  // Negated so that NaN fails too.
+  if (!(params_.min_speed_mps <= params_.max_speed_mps)) {
+    throw std::invalid_argument(
+        "TrafficSim: min_speed_mps must be <= max_speed_mps");
+  }
   vehicles_.resize(static_cast<std::size_t>(params_.num_vehicles));
+  state_.resize(vehicles_.size());
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     auto& v = vehicles_[i];
     v.rng.reseed(util::Rng::derive_seed(seed, i));
     v.cruise_speed = v.rng.uniform(params_.min_speed_mps, params_.max_speed_mps);
     const auto start = static_cast<RoadNetwork::Intersection>(
         v.rng.uniform_int(0, net_.num_intersections() - 1));
-    v.position = net_.position(start);
+    state_[i].position = net_.position(start);
     v.path = {start};
-    v.next_waypoint = 1;  // Forces a fresh path on the first step.
+    set_waypoint(v, 1);  // Past the end: forces a fresh path on the first step.
   }
+}
+
+void TrafficSim::set_waypoint(Vehicle& v, std::size_t index) const {
+  v.next_waypoint = index;
+  if (index < v.path.size()) v.target = net_.position(v.path[index]);
 }
 
 void TrafficSim::assign_new_path(Vehicle& v) {
@@ -63,36 +90,44 @@ void TrafficSim::assign_new_path(Vehicle& v) {
     auto path = net_.shortest_path(from, to);
     if (path.size() >= 2) {
       v.path = std::move(path);
-      v.next_waypoint = 1;
+      set_waypoint(v, 1);
       return;
     }
   }
   // Degenerate network; stay parked at the current position.
-  v.next_waypoint = v.path.size();
+  set_waypoint(v, v.path.size());
 }
 
-void TrafficSim::follow_road_from(Vehicle& v,
-                                  RoadNetwork::Intersection node) {
+void TrafficSim::follow_road_from(Vehicle& v, RoadNetwork::Intersection node,
+                                  double heading_deg) {
   const auto& neighbors = net_.neighbors(node);
   if (neighbors.empty()) return;
 
-  // Candidates exclude the node we came from, unless it's a dead end.
-  std::vector<RoadNetwork::Intersection> candidates;
-  for (const auto n : neighbors)
-    if (n != v.prev_node) candidates.push_back(n);
-  if (candidates.empty()) candidates.push_back(v.prev_node);
+  // Candidates are the neighbors other than the node we came from, in
+  // neighbor order — or, at a dead end, that node alone. They are counted
+  // and indexed in place rather than collected.
+  const RoadNetwork::Intersection prev = v.prev_node;
+  std::size_t candidates = 0;
+  for (const auto n : neighbors) candidates += n != prev ? 1 : 0;
+  const auto candidate = [&](std::size_t k) {
+    for (const auto n : neighbors) {
+      if (n != prev && k-- == 0) return n;
+    }
+    return prev;
+  };
 
-  RoadNetwork::Intersection chosen = candidates.front();
-  if (candidates.size() > 1 && v.rng.bernoulli(params_.turn_probability)) {
-    chosen = candidates[static_cast<std::size_t>(v.rng.uniform_int(
-        0, static_cast<std::int64_t>(candidates.size()) - 1))];
-  } else {
+  RoadNetwork::Intersection chosen = candidate(0);
+  if (candidates > 1 && v.rng.bernoulli(params_.turn_probability)) {
+    chosen = candidate(static_cast<std::size_t>(v.rng.uniform_int(
+        0, static_cast<std::int64_t>(candidates) - 1)));
+  } else if (candidates > 1) {
     // Stay on the road: pick the neighbor whose direction deviates least
     // from the current heading.
     double best_dev = 1e9;
-    for (const auto n : candidates) {
+    for (const auto n : neighbors) {
+      if (n == prev) continue;
       const double h = heading_of(net_.position(node), net_.position(n));
-      double dev = std::fabs(h - v.heading_deg);
+      double dev = std::fabs(h - heading_deg);
       if (dev > 180.0) dev = 360.0 - dev;
       if (dev < best_dev) {
         best_dev = dev;
@@ -101,33 +136,35 @@ void TrafficSim::follow_road_from(Vehicle& v,
     }
   }
   v.prev_node = node;
-  v.path = {node, chosen};
-  v.next_waypoint = 1;
+  v.path.assign({node, chosen});  // Keeps the path's storage.
+  set_waypoint(v, 1);
 }
 
-void TrafficSim::advance(Vehicle& v, double dt_s) {
-  double remaining = v.current_speed * dt_s;
+void TrafficSim::advance(Vehicle& v, VehicleState& s, double speed_mps,
+                         double dt_s) {
+  double remaining = speed_mps * dt_s;
   while (remaining > 0.0) {
     if (v.next_waypoint >= v.path.size()) {
       if (params_.routing == Routing::kFollowRoad) {
-        follow_road_from(v, v.path.empty() ? 0 : v.path.back());
+        follow_road_from(v, v.path.empty() ? 0 : v.path.back(),
+                         s.heading_deg);
       } else {
         assign_new_path(v);
       }
       if (v.next_waypoint >= v.path.size()) return;  // parked
     }
-    const Vec2 target = net_.position(v.path[v.next_waypoint]);
-    const double dist = distance(v.position, target);
-    if (dist > 1e-9) v.heading_deg = heading_of(v.position, target);
+    const Vec2 target = v.target;
+    const double dist = distance(s.position, target);
+    if (dist > 1e-9) s.heading_deg = heading_of(s.position, target);
     if (dist > remaining) {
       const double frac = remaining / dist;
-      v.position.x += (target.x - v.position.x) * frac;
-      v.position.y += (target.y - v.position.y) * frac;
+      s.position.x += (target.x - s.position.x) * frac;
+      s.position.y += (target.y - s.position.y) * frac;
       return;
     }
-    v.position = target;
+    s.position = target;
     remaining -= dist;
-    ++v.next_waypoint;
+    set_waypoint(v, v.next_waypoint + 1);
     // Arrived at an intersection: maybe wait at a light.
     if (v.rng.bernoulli(params_.stop_probability)) {
       v.stopped_for = v.rng.uniform_int(params_.min_stop, params_.max_stop);
@@ -140,15 +177,18 @@ void TrafficSim::step_block(std::size_t lo, std::size_t hi) {
   constexpr double kDt = 1.0;  // 1 Hz simulation, like the paper's samples.
   for (std::size_t i = lo; i < hi; ++i) {
     auto& v = vehicles_[i];
+    auto& s = state_[i];
     if (v.stopped_for > 0) {
       v.stopped_for -= kSecond;
-      v.current_speed = 0.0;
+      s.speed_mps = 0.0;
       continue;
     }
-    v.current_speed =
+    double speed =
         v.cruise_speed * (1.0 + v.rng.normal(0.0, params_.speed_jitter));
-    if (v.current_speed < 1.0) v.current_speed = 1.0;
-    advance(v, kDt);
+    if (speed < 1.0) speed = 1.0;
+    advance(v, s, speed, kDt);
+    // A vehicle that just stopped at a light reports 0.
+    s.speed_mps = v.stopped_for > 0 ? 0.0 : speed;
   }
 }
 
@@ -164,16 +204,6 @@ void TrafficSim::step(exp::ThreadPool& pool) {
   pool.parallel_for(blocks, [this, n](std::size_t block) {
     step_block(block * kStepBlock, std::min(n, (block + 1) * kStepBlock));
   });
-}
-
-std::vector<VehicleState> TrafficSim::snapshot() const {
-  std::vector<VehicleState> out;
-  out.reserve(vehicles_.size());
-  for (const auto& v : vehicles_) {
-    out.push_back(VehicleState{v.position, v.heading_deg,
-                               v.stopped_for > 0 ? 0.0 : v.current_speed});
-  }
-  return out;
 }
 
 TrajectoryLog TrafficSim::run(Duration total) {

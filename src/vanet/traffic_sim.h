@@ -13,7 +13,9 @@
 // state, so a step can shard across exp::ThreadPool over fixed-size vehicle
 // blocks and stay byte-identical to the serial step at any thread count —
 // the deterministic-sharding pattern from the sweep engine (DESIGN.md
-// "Determinism contract") applied to mobility.
+// "Determinism contract") applied to mobility. The hot per-vehicle output
+// (position, heading, reported speed) lives in one contiguous VehicleState
+// array that the step writes in place, so a snapshot is a single copy.
 #pragma once
 
 #include <vector>
@@ -37,8 +39,11 @@ struct VehicleState {
 /// 1 Hz snapshots of every vehicle over a run.
 class TrajectoryLog {
  public:
+  /// Throws std::invalid_argument unless num_vehicles > 0 and step > 0.
   TrajectoryLog(int num_vehicles, Duration step);
 
+  /// Throws std::invalid_argument unless the snapshot holds exactly
+  /// num_vehicles() vehicles.
   void append(std::vector<VehicleState> snapshot);
 
   int num_vehicles() const noexcept { return num_vehicles_; }
@@ -81,6 +86,9 @@ class TrafficSim {
     Duration max_stop = 4 * kSecond;
   };
 
+  /// Throws std::invalid_argument unless num_vehicles > 0, the network has
+  /// an intersection to start from, and min_speed_mps <= max_speed_mps
+  /// (NaN included).
   TrafficSim(const RoadNetwork& net, std::uint64_t seed)
       : TrafficSim(net, seed, Params{}) {}
   TrafficSim(const RoadNetwork& net, std::uint64_t seed, Params params);
@@ -98,31 +106,40 @@ class TrafficSim {
   TrajectoryLog run(Duration total);
   TrajectoryLog run(Duration total, exp::ThreadPool& pool);
 
-  std::vector<VehicleState> snapshot() const;
+  /// Every vehicle's state, vehicle id = index; reported speed is 0 while
+  /// stopped at a light.
+  std::vector<VehicleState> snapshot() const { return state_; }
 
  private:
+  /// What a vehicle needs to move besides its VehicleState: the RNG stream
+  /// and the route.
   struct Vehicle {
     util::Rng rng;  ///< Private stream: derive_seed(base_seed, vehicle_id).
     std::vector<RoadNetwork::Intersection> path;  ///< Remaining waypoints.
     std::size_t next_waypoint = 0;
+    /// Position of path[next_waypoint] while next_waypoint < path.size().
+    Vec2 target{};
     RoadNetwork::Intersection prev_node = -1;  ///< kFollowRoad state.
-    Vec2 position{};
-    double heading_deg = 0.0;
     double cruise_speed = 12.0;
-    double current_speed = 0.0;
     Duration stopped_for = 0;  ///< Remaining stop-light wait.
   };
 
+  /// Heads `v` for path[index], refreshing the cached target.
+  void set_waypoint(Vehicle& v, std::size_t index) const;
   void assign_new_path(Vehicle& v);
-  /// kFollowRoad: appends the next waypoint after arriving at `node`.
-  void follow_road_from(Vehicle& v, RoadNetwork::Intersection node);
-  void advance(Vehicle& v, double dt_s);
+  /// kFollowRoad: picks the next waypoint after arriving at `node` with
+  /// heading `heading_deg`.
+  void follow_road_from(Vehicle& v, RoadNetwork::Intersection node,
+                        double heading_deg);
+  /// Moves `v` (state `s`) at `speed_mps` for `dt_s` seconds.
+  void advance(Vehicle& v, VehicleState& s, double speed_mps, double dt_s);
   /// Advances vehicles [lo, hi) — the unit both step() overloads share.
   void step_block(std::size_t lo, std::size_t hi);
 
   const RoadNetwork& net_;
   Params params_;
   std::vector<Vehicle> vehicles_;
+  std::vector<VehicleState> state_;  ///< Parallel to vehicles_.
 };
 
 }  // namespace sh::vanet
