@@ -79,6 +79,7 @@ void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
   cell_keys_.clear();
   cell_begin_.assign(1, 0);
   members_.clear();
+  sorted_pos_.clear();
 
   // Each vehicle's cell key, and the spread of the keys' two 32-bit halves.
   const auto cell_of = [this](double v) {
@@ -122,26 +123,45 @@ void SpatialHash::build(const std::vector<VehicleState>& snapshot) {
            (static_cast<std::uint32_t>(key) - min_x);
   });
 
+  // One pass in member order: the cell boundaries, and each member's
+  // position gathered next to its cellmates for the scan.
+  sorted_pos_.resize(n);
   cell_keys_.push_back(vehicle_key_[static_cast<std::size_t>(members_[0])]);
-  for (std::size_t m = 1; m < n; ++m) {
-    const std::uint64_t key =
-        vehicle_key_[static_cast<std::size_t>(members_[m])];
-    if (key != cell_keys_.back()) {
-      cell_keys_.push_back(key);
+  for (std::size_t m = 0; m < n; ++m) {
+    const auto id = static_cast<std::size_t>(members_[m]);
+    sorted_pos_[m] = snapshot[id].position;
+    if (vehicle_key_[id] != cell_keys_.back()) {
+      cell_keys_.push_back(vehicle_key_[id]);
       cell_begin_.push_back(m);
     }
   }
   cell_begin_.push_back(n);
 }
 
-void SpatialHash::scan_cells(std::size_t lo, std::size_t hi,
-                             const std::vector<VehicleState>& snapshot,
-                             double range_m, unsigned id_bits,
+void SpatialHash::scan_cells(std::size_t lo, std::size_t hi, double range_m,
+                             unsigned id_bits,
                              std::vector<std::uint64_t>& out) const {
   const std::size_t cells = cell_keys_.size();
   const auto id = [&](std::size_t m) { return members_[m]; };
-  const auto position = [&](std::size_t m) -> const Vec2& {
-    return snapshot[static_cast<std::size_t>(id(m))].position;
+  // distance(p, q) <= range_m, mostly without std::hypot. The squared
+  // distance s and hypot's result squared differ by a few ulps, so s below
+  // `near` is certainly in range and s above `far` certainly not: the band
+  // between them is 1e-12 wide, relatively. Only a pair inside the band
+  // pays for hypot, which decides it exactly as distance() does. Outside
+  // [1e-140, 1e140] m, underflow or overflow of s could break that
+  // argument, so there the band is everything.
+  const bool banded = range_m >= 1e-140 && range_m <= 1e140;
+  const double r2 = range_m * range_m;
+  const double near = banded ? r2 * (1.0 - 1e-12) : -1.0;
+  const double far =
+      banded ? r2 * (1.0 + 1e-12) : std::numeric_limits<double>::infinity();
+  const auto in_range = [&](const Vec2& p, const Vec2& q) {
+    const double dx = p.x - q.x;
+    const double dy = p.y - q.y;
+    const double sq = dx * dx + dy * dy;
+    if (sq < near) return true;
+    if (sq > far) return false;
+    return distance(p, q) <= range_m;
   };
   // Every member of cell c against every member of cell d; within one cell
   // (c == d) only j > i, so each pair is tested once.
@@ -149,7 +169,7 @@ void SpatialHash::scan_cells(std::size_t lo, std::size_t hi,
     for (std::size_t i = cell_begin_[c]; i < cell_begin_[c + 1]; ++i) {
       for (std::size_t j = c == d ? i + 1 : cell_begin_[d];
            j < cell_begin_[d + 1]; ++j) {
-        if (distance(position(i), position(j)) <= range_m) {
+        if (in_range(sorted_pos_[i], sorted_pos_[j])) {
           const auto a = static_cast<std::uint64_t>(std::min(id(i), id(j)));
           const auto b = static_cast<std::uint64_t>(std::max(id(i), id(j)));
           out.push_back(a << id_bits | b);
@@ -203,8 +223,8 @@ std::vector<VehiclePair> SpatialHash::pairs_within(
   std::vector<std::vector<std::uint64_t>> parts(blocks);
   const auto scan_block = [&](std::size_t block) {
     const std::size_t lo = block * kCellBlock;
-    scan_cells(lo, std::min(cells, lo + kCellBlock), snapshot, range_m,
-               id_bits, parts[block]);
+    scan_cells(lo, std::min(cells, lo + kCellBlock), range_m, id_bits,
+               parts[block]);
   };
   if (pool != nullptr && pool->thread_count() > 1 && blocks > 1) {
     pool->parallel_for(blocks, scan_block);

@@ -54,7 +54,8 @@ class SpatialHash {
   void build(const std::vector<VehicleState>& snapshot);
 
   /// Every pair (a < b) with distance(a, b) <= range_m, sorted by (a, b).
-  /// Requires a preceding build() over the same snapshot; throws
+  /// Requires a preceding build() over the same snapshot (the scan reads
+  /// the positions build() gathered, `snapshot` only for its size); throws
   /// std::invalid_argument unless range_m <= cell_m (NaN included). With a
   /// pool, the scan shards over fixed-size cell blocks; the result is
   /// byte-identical to the serial scan.
@@ -84,8 +85,7 @@ class SpatialHash {
 
   /// Appends the in-range pairs found from cells [lo, hi) of the half
   /// stencil, unsorted, each packed as (a << id_bits) | b.
-  void scan_cells(std::size_t lo, std::size_t hi,
-                  const std::vector<VehicleState>& snapshot, double range_m,
+  void scan_cells(std::size_t lo, std::size_t hi, double range_m,
                   unsigned id_bits, std::vector<std::uint64_t>& out) const;
 
   double cell_m_;
@@ -93,6 +93,10 @@ class SpatialHash {
   std::vector<std::size_t> cell_begin_;   ///< Offsets into members_ (+1 entry).
   /// Vehicle ids sorted by cell key, ids ascending within a cell.
   std::vector<int> members_;
+  /// members_[m]'s position, gathered by build() so that the scan reads
+  /// each cell's positions contiguously instead of one random snapshot
+  /// load per member.
+  std::vector<Vec2> sorted_pos_;
   /// build() scratch, members so their storage is reused across calls: each
   /// vehicle's cell key (indexed by id) and the radix sort's second buffer.
   std::vector<std::uint64_t> vehicle_key_;

@@ -425,6 +425,35 @@ TEST(SpatialHashEdgeCaseTest, RangeSmallerThanCellStillExact) {
   }
 }
 
+/// The scan decides most pairs by squared distance and leaves only a thin
+/// band around the range to std::hypot. Pairs placed within a few ulps of
+/// the range, at many angles and scales, must be decided exactly as
+/// distance() decides them — including at ranges too small or too large for
+/// the band, where hypot decides every pair.
+TEST(SpatialHashEdgeCaseTest, PairsWithinUlpsOfRangeDecidedLikeDistance) {
+  util::Rng rng(4242);
+  for (const double range : {100.0, 0.37, 7.5e6, 1e-160, 1e160}) {
+    std::vector<Vec2> positions;
+    for (int i = 0; i < 400; ++i) {
+      const Vec2 p{rng.uniform(-2.0, 2.0) * range, rng.uniform(-2.0, 2.0) * range};
+      const double angle = rng.uniform(0.0, 6.283185307179586);
+      double d = range;
+      for (int k = static_cast<int>(rng.uniform_int(-2, 2)); k != 0;
+           k += k < 0 ? 1 : -1) {
+        d = std::nextafter(d, k < 0 ? 0.0 : 2.0 * range);
+      }
+      positions.push_back(p);
+      positions.push_back(Vec2{p.x + d * std::sin(angle), p.y + d * std::cos(angle)});
+    }
+    const auto snap = at_positions(positions);
+    SpatialHash hash(range);
+    hash.build(snap);
+    const auto pairs = hash.pairs_within(snap, range);
+    EXPECT_EQ(pairs, brute_pairs(snap, range)) << "range " << range;
+    EXPECT_FALSE(pairs.empty()) << "range " << range;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cell-major half-stencil scan: the layouts its key arithmetic and forward
 // cursor must get right, each checked against brute force.
