@@ -191,6 +191,56 @@ TEST(TrajectoryLogTest, StepAccounting) {
   EXPECT_EQ(log.step(), kSecond);
 }
 
+TEST(TrafficSimTest, RejectsInvalidParamsInEveryBuildType) {
+  const auto net = RoadNetwork::grid(3, 3, 100.0);
+  const auto params_with = [](auto edit) {
+    TrafficSim::Params params;
+    edit(params);
+    return params;
+  };
+  for (const int n : {0, -1}) {
+    EXPECT_THROW(TrafficSim(net, 1, params_with([n](auto& p) {
+                   p.num_vehicles = n;
+                 })),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(TrafficSim(RoadNetwork{}, 1), std::invalid_argument);
+  EXPECT_THROW(TrafficSim(net, 1, params_with([](auto& p) {
+                 p.min_speed_mps = 15.0;
+                 p.max_speed_mps = 14.0;
+               })),
+               std::invalid_argument);
+  for (const double nan : {std::nan(""), -std::nan("")}) {
+    EXPECT_THROW(TrafficSim(net, 1, params_with([nan](auto& p) {
+                   p.min_speed_mps = nan;
+                 })),
+                 std::invalid_argument);
+    EXPECT_THROW(TrafficSim(net, 1, params_with([nan](auto& p) {
+                   p.max_speed_mps = nan;
+                 })),
+                 std::invalid_argument);
+  }
+  // A fixed speed (min == max) is valid.
+  EXPECT_NO_THROW(TrafficSim(net, 1, params_with([](auto& p) {
+    p.min_speed_mps = 12.0;
+    p.max_speed_mps = 12.0;
+  })));
+}
+
+TEST(TrajectoryLogTest, RejectsInvalidShapeInEveryBuildType) {
+  EXPECT_THROW(TrajectoryLog(0, kSecond), std::invalid_argument);
+  EXPECT_THROW(TrajectoryLog(-3, kSecond), std::invalid_argument);
+  EXPECT_THROW(TrajectoryLog(2, 0), std::invalid_argument);
+  EXPECT_THROW(TrajectoryLog(2, -kSecond), std::invalid_argument);
+
+  TrajectoryLog log(2, kSecond);
+  EXPECT_THROW(log.append({}), std::invalid_argument);
+  EXPECT_THROW(log.append(std::vector<VehicleState>(3)), std::invalid_argument);
+  EXPECT_EQ(log.num_steps(), 0U);
+  log.append(std::vector<VehicleState>(2));
+  EXPECT_EQ(log.num_steps(), 1U);
+}
+
 // ---------------------------------------------------------------------------
 // Link extraction
 
