@@ -119,9 +119,14 @@ const sim::MobilityPhase& ChannelRealization::BlockSampler::phase_walk(
     Time t, Time& next_start) noexcept {
   // Same selection as MobilityScenario::phase_at: the first phase whose
   // [start, start + duration) interval contains t, or the last phase for t
-  // past the end of the script. Also reports the time at which the
-  // selection would change (Time max while in the last phase).
+  // past the end of the script, or the default phase if there is none.
+  // Also reports the time at which the selection would change (Time max
+  // while in the last phase).
   const auto& phases = ch_->scenario_.phases();
+  if (phases.empty()) {
+    next_start = std::numeric_limits<Time>::max();
+    return sim::MobilityScenario::default_phase();
+  }
   if (t < phase_start_) {  // Backwards step: random-access fallback.
     phase_index_ = 0;
     phase_start_ = 0;

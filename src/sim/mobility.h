@@ -71,10 +71,16 @@ class MobilityScenario {
 
   const std::vector<MobilityPhase>& phases() const noexcept { return phases_; }
 
+  /// What a scenario without phases (default-constructed) reports at every
+  /// time: static, at speed 0.
+  static const MobilityPhase& default_phase() noexcept {
+    static const MobilityPhase kDefault{};
+    return kDefault;
+  }
+
  private:
   const MobilityPhase& phase_at(Time t) const noexcept {
-    static const MobilityPhase kDefault{};
-    if (phases_.empty()) return kDefault;
+    if (phases_.empty()) return default_phase();
     Time start = 0;
     for (const auto& p : phases_) {
       if (t < start + p.duration) return p;

@@ -257,6 +257,30 @@ TEST(BlockSamplerTest, BackwardsRunFallsBackNotStale) {
   }
 }
 
+TEST(BlockSamplerTest, ScenarioWithoutPhasesMatchesRandomAccess) {
+  // A default-constructed scenario has no phases; MobilityScenario reports
+  // its default (static) phase at every time, and so must the sampler.
+  const sim::MobilityScenario scenario;
+  for (const Environment env : kAllEnvironments) {
+    const ChannelRealization ch(env, scenario, 94);
+    ChannelRealization::BlockSampler sampler(ch);
+    constexpr std::size_t kRun = 64;
+    std::vector<Time> mid(kRun);
+    std::vector<double> snr(kRun);
+    const std::unique_ptr<bool[]> moving(new bool[kRun]);
+    for (std::size_t k = 0; k < kRun; ++k) {
+      mid[k] = static_cast<Time>(k) * 7 * kMillisecond;
+    }
+    sampler.sample_n(mid.data(), kRun, snr.data(), moving.get());
+    for (std::size_t k = 0; k < kRun; ++k) {
+      ASSERT_EQ(snr[k], ch.snr_db_at(mid[k]))
+          << "env " << env_name(env) << " slot " << k;
+      ASSERT_EQ(moving[k], ch.moving_at(mid[k]))
+          << "env " << env_name(env) << " slot " << k;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // detmath: scalar == batch for every kernel the block path leans on.
 
@@ -280,8 +304,10 @@ TEST(DetmathConsistencyTest, BatchFormsMatchScalarBitExactly) {
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(util::detmath::dsin(x[i]), s_batch[i]) << "x=" << x[i];
     ASSERT_EQ(util::detmath::dcos(x[i]), c_batch[i]) << "x=" << x[i];
+    // sincos_n over one element: its scalar (guarded) path when x[i] is
+    // out of the fast loop's range.
     double si = 0.0, ci = 0.0;
-    util::detmath::dsincos(x[i], si, ci);
+    util::detmath::sincos_n(&x[i], 1, &si, &ci);
     ASSERT_EQ(si, s_batch[i]);
     ASSERT_EQ(ci, c_batch[i]);
   }
