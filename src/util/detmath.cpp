@@ -61,9 +61,6 @@ const internal::Vtable& active() noexcept {
 double dsin(double x) noexcept { return active().dsin(x); }
 double dcos(double x) noexcept { return active().dcos(x); }
 double dexp(double x) noexcept { return active().dexp(x); }
-void dsincos(double x, double& sin_out, double& cos_out) noexcept {
-  active().dsincos(x, sin_out, cos_out);
-}
 
 void sin_n(const double* x, std::size_t n, double* out) noexcept {
   active().sin_n(x, n, out);

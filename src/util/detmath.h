@@ -37,10 +37,9 @@ namespace sh::util::detmath {
 double dsin(double x) noexcept;
 double dcos(double x) noexcept;
 double dexp(double x) noexcept;
-/// Both coordinates of the same angle; bit-identical to {dsin(x), dcos(x)}.
-void dsincos(double x, double& sin_out, double& cos_out) noexcept;
 
-/// Batch forms: out[i] is bit-identical to the scalar call on x[i].
+/// Batch forms: out[i] is bit-identical to the scalar call on x[i];
+/// sincos_n's two outputs to dsin(x[i]) and dcos(x[i]).
 void sin_n(const double* x, std::size_t n, double* out) noexcept;
 void cos_n(const double* x, std::size_t n, double* out) noexcept;
 void exp_n(const double* x, std::size_t n, double* out) noexcept;

@@ -14,7 +14,6 @@ struct Vtable {
   double (*dsin)(double) noexcept;
   double (*dcos)(double) noexcept;
   double (*dexp)(double) noexcept;
-  void (*dsincos)(double, double&, double&) noexcept;
   void (*sin_n)(const double*, std::size_t, double*) noexcept;
   void (*cos_n)(const double*, std::size_t, double*) noexcept;
   void (*exp_n)(const double*, std::size_t, double*) noexcept;

@@ -387,10 +387,10 @@ inline double vt_dexp(double x) noexcept { return dexp_s(x); }
 
 inline const internal::Vtable& vtable(const char* name) noexcept {
   static const internal::Vtable v{
-      vt_dsin,      vt_dcos,      vt_dexp,
-      dsincos_s,    sin_n_b,      cos_n_b,
-      exp_n_b,      sincos_n_b,   logistic_n_b,
-      fade_sum_n_b, sinusoid_accumulate_n_b,
+      vt_dsin,    vt_dcos,      vt_dexp,
+      sin_n_b,    cos_n_b,      exp_n_b,
+      sincos_n_b, logistic_n_b, fade_sum_n_b,
+      sinusoid_accumulate_n_b,
       name,
   };
   return v;
