@@ -144,12 +144,12 @@ void SpatialHash::scan_cells(std::size_t lo, std::size_t hi, double range_m,
   const std::size_t cells = cell_keys_.size();
   const auto id = [&](std::size_t m) { return members_[m]; };
   // distance(p, q) <= range_m, mostly without std::hypot. The squared
-  // distance s and hypot's result squared differ by a few ulps, so s below
-  // `near` is certainly in range and s above `far` certainly not: the band
-  // between them is 1e-12 wide, relatively. Only a pair inside the band
-  // pays for hypot, which decides it exactly as distance() does. Outside
-  // [1e-140, 1e140] m, underflow or overflow of s could break that
-  // argument, so there the band is everything.
+  // distance sq and hypot's result squared differ by a few ulps, so sq
+  // below `near` is certainly in range and sq above `far` certainly not:
+  // the band between them is 1e-12 wide, relatively. Only a pair inside
+  // the band pays for hypot, which decides it exactly as distance() does.
+  // Outside [1e-140, 1e140] m, underflow or overflow of sq could break
+  // that argument, so there the band is everything.
   const bool banded = range_m >= 1e-140 && range_m <= 1e140;
   const double r2 = range_m * range_m;
   const double near = banded ? r2 * (1.0 - 1e-12) : -1.0;

@@ -14,10 +14,9 @@ namespace {
 /// Vehicles per sharded-step block. Fixed — never derived from the thread
 /// count — so the block decomposition is the same no matter how many
 /// workers execute it (not that it matters for state: vehicles are fully
-/// independent; the constant only sizes tasks). Small enough that a
-/// 10k-vehicle step splits into 40 tasks, which a pool balances evenly
-/// whatever its size; at 2048 the same step was 5 tasks, a 3:2 split on
-/// two workers.
+/// independent; the constant only sizes tasks). Small, so that a pool
+/// balances the tasks: a 10k-vehicle step is 40 of them, where 5 would
+/// split 3:2 over two workers.
 constexpr std::size_t kStepBlock = 256;
 
 }  // namespace
