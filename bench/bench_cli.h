@@ -1,6 +1,6 @@
 // Command-line handling shared by the reproduction benches.
 //
-// The benches follow the same contract as shsweep and shbench (tools/cli.h):
+// The benches follow the same contract as shsweep and shtrace (tools/cli.h):
 // numeric flags are parsed strictly, a bad or duplicated flag exits 2 with a
 // one-line diagnostic on stderr, and `--json` lands through
 // util::atomic_write_file. Kept apart from experiment_config.h, which the

@@ -34,19 +34,6 @@ std::string trace_config_key(const TraceGeneratorConfig& config) {
   return key;
 }
 
-std::uint64_t trace_config_hash(const TraceGeneratorConfig& config) {
-  // FNV-1a 64: stable across platforms and runs, good enough to identify a
-  // benchmark workload (collisions only weaken the shbench comparability
-  // check, never experiment results — the cache keys on the full string).
-  const std::string key = trace_config_key(config);
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 std::shared_ptr<const PacketFateTrace> TraceCache::get_or_generate(
     const TraceGeneratorConfig& config) {
   return get_or_compute(trace_config_key(config),

@@ -38,11 +38,6 @@ std::string trace_config_key(const TraceGeneratorConfig& config);
 void append_scenario_key(std::string& key,
                          const sim::MobilityScenario& scenario);
 
-/// Stable 64-bit FNV-1a hash of trace_config_key. shbench records it in
-/// sh.bench.v1 output so a benchmark is only ever compared against a
-/// baseline generated from the identical workload.
-std::uint64_t trace_config_hash(const TraceGeneratorConfig& config);
-
 /// Bounded, thread-safe trace cache: util::MemoCache keyed by
 /// trace_config_key. Concurrent get_or_generate calls for the same config
 /// generate the trace once.

@@ -4,7 +4,7 @@
 // Supports a saturating UDP workload and the simplified TCP model (whose
 // timeouts punish bursty mobile loss, as observed in §3.5). On top of it sits
 // the paper's protocol comparison (§3.4-3.5, Figs 3-5 to 3-8), which the
-// comparison benches, shsweep and shbench evaluate through.
+// comparison benches, shsweep and perfbench's sweep_replay evaluate through.
 #pragma once
 
 #include "channel/trace.h"

@@ -1,7 +1,7 @@
 // Crash-safe file output.
 //
-// Every JSON artifact the tools emit (sh.sweep.v1, sh.bench.v1, bench
-// baselines) and the checkpoint journal header go through
+// Every JSON artifact the tools emit (sh.sweep.v1, bench `--json` results)
+// and the checkpoint journal header go through
 // atomic_write_file: the bytes land in `<path>.tmp`, are flushed and
 // fsync'd, and only then renamed over `path`. A kill at any instant leaves
 // either the old file or the new one — never a torn half-write.

@@ -1,7 +1,8 @@
-// Mirrors the shbench timing pattern: a steady_clock read that feeds ns/op
-// numbers only (never experiment output) is sanctioned through the inline
-// same-line allow. shlint must exit 0 — this fixture pins the exact wiring
-// tools/shbench.cpp relies on to survive the repo-wide acceptance scan.
+// Mirrors exp::SweepRunner's wall-clock read (src/exp/sweep.cpp): a
+// steady_clock read that feeds timing numbers only (never experiment output)
+// is sanctioned through the inline same-line allow. shlint must exit 0 — this
+// fixture pins the wiring src/exp/sweep.cpp relies on to survive the
+// repo-wide acceptance scan.
 #include <chrono>
 
 double now_ns() {

@@ -368,7 +368,8 @@ TEST(ShlintCliTest, InlineAllowSuppresses) {
   EXPECT_TRUE(r.out.empty()) << r.out;
 }
 
-// The shbench timing pattern: wall-clock reads sanctioned per call site.
+// exp::SweepRunner's timing pattern: wall-clock reads sanctioned per call
+// site.
 TEST(ShlintCliTest, BenchTimerInlineAllowPasses) {
   const auto r = run_shlint("--quiet " + fixture("d1_bench_timer.cpp"));
   EXPECT_EQ(r.exit_code, 0) << r.out;

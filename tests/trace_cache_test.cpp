@@ -1,4 +1,4 @@
-// Tests for the trace cache: key/hash identity, hit/miss/eviction
+// Tests for the trace cache: key identity, hit/miss/eviction
 // accounting, in-flight deduplication, and — the property everything else
 // exists to protect — byte-identical sweep output with the cache on or off
 // at any thread count.
@@ -26,12 +26,10 @@ TraceGeneratorConfig small_config(std::uint64_t seed = 7) {
 }
 
 // ---------------------------------------------------------------------------
-// Key and hash
+// Key
 
 TEST(TraceConfigKeyTest, EqualConfigsShareKey) {
   EXPECT_EQ(trace_config_key(small_config()), trace_config_key(small_config()));
-  EXPECT_EQ(trace_config_hash(small_config()),
-            trace_config_hash(small_config()));
 }
 
 TEST(TraceConfigKeyTest, EveryFieldIsDiscriminated) {
