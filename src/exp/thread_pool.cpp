@@ -1,6 +1,27 @@
 #include "exp/thread_pool.h"
 
+#include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace sh::exp {
+namespace {
+
+// Polls before a thread blocks. city_vanet's serial work between its two
+// batches (snapshot, SpatialHash::build) takes 0.25-0.4 ms, and 2^14
+// _mm_pause took 338 us on a 4-core AVX-512 Xeon VM, so a worker stays
+// awake across that gap and sleeps after about a third of a millisecond
+// idle. Counted in pauses (yields off x86): src/ reads no clock (shlint D1).
+constexpr int kSpinBudget = 1 << 14;
+
+constexpr std::uint64_t kSeqOne = std::uint64_t{1} << 32;
+constexpr std::uint64_t kJoinedMask = kSeqOne - 1;
+
+bool is_open(std::uint64_t state) { return ((state >> 32) & 1) != 0; }
+
+}  // namespace
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) {
@@ -8,24 +29,48 @@ ThreadPool::ThreadPool(int threads) {
     threads = hw > 0 ? static_cast<int>(hw) : 1;
   }
   thread_count_ = threads;
-  if (threads == 1) return;  // inline mode: no workers, no shards
-  shards_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) shards_.push_back(std::make_unique<Shard>());
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(static_cast<std::size_t>(i)); });
+  for (int i = 1; i < threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
+  stop_.store(true);
+  wake();
   for (auto& w : workers_) w.join();
 }
 
+// A blocking waiter checks `ready` under mutex_ and lets go of it only by
+// sleeping on cv_. wake() takes mutex_ after the write that makes `ready`
+// hold, so the waiter either sees that write or sleeps when notify_all runs.
+template <class Ready>
+void ThreadPool::await(Ready ready) {
+  for (int i = 0; i < kSpinBudget; ++i) {
+    if (ready()) return;
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#else
+    std::this_thread::yield();
+#endif
+  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, ready);
+}
+
+void ThreadPool::wake() {
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  cv_.notify_all();
+}
+
+// Why no thread runs a stale fn or claims an index of another batch: a
+// worker enters a batch only by a CAS that adds one to the joined count of
+// an open state_, leaves it by subtracting that one again, and touches
+// job_, size_ and next_ only in between. The caller closes a batch by a CAS
+// that needs a joined count of 0, so once it is closed no worker is inside
+// and none can enter. Only then does parallel_for return (fn may die) and
+// the next call rewrite job_, size_ and next_. Joins and leaves are RMWs on
+// state_, so opening the batch happens before every join, and every task
+// happens before the close.
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
@@ -33,83 +78,43 @@ void ThreadPool::parallel_for(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++epoch_;
-    // The previous batch fully drained before parallel_for returned, so any
-    // entry still visible to a lagging worker has an older epoch tag and
-    // will be ignored by it; new entries are only taken by workers that saw
-    // this epoch (and therefore the new job pointer).
-    for (std::size_t i = 0; i < n; ++i) {
-      Shard& shard = *shards_[i % shards_.size()];
-      std::lock_guard<std::mutex> shard_lock(shard.mutex);
-      shard.tasks.push_back(Entry{epoch_, i});
-    }
-    job_ = &fn;
-    outstanding_ = n;
-  }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return outstanding_ == 0; });
-  job_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
+  job_ = &fn;
+  size_ = n;
+  next_.store(0, std::memory_order_relaxed);
+  state_.fetch_add(kSeqOne);  // open: the sequence number turns odd
+  wake();
+  run_claims();
+  std::uint64_t state = 0;
+  do {
+    await([&] { return ((state = state_.load()) & kJoinedMask) == 0; });
+  } while (!state_.compare_exchange_strong(state, state + kSeqOne));
+  if (first_error_) std::rethrow_exception(std::exchange(first_error_, {}));
 }
 
-bool ThreadPool::acquire(std::size_t id, std::uint64_t epoch,
-                         std::size_t& task) {
-  {
-    Shard& own = *shards_[id];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty() && own.tasks.front().epoch == epoch) {
-      task = own.tasks.front().index;
-      own.tasks.pop_front();
-      return true;
-    }
-  }
-  for (std::size_t k = 1; k < shards_.size(); ++k) {
-    Shard& victim = *shards_[(id + k) % shards_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty() && victim.tasks.back().epoch == epoch) {
-      task = victim.tasks.back().index;
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t id) {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    const std::function<void(std::size_t)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock,
-                    [&] { return stop_ || (epoch_ != seen_epoch && job_); });
-      if (stop_) return;
-      seen_epoch = epoch_;
-      job = job_;
-    }
-    // `job` stays valid while any task of `seen_epoch` is outstanding:
-    // parallel_for cannot return (and the caller cannot destroy fn) before
-    // the last acquire-able task of this epoch has been executed and
-    // acknowledged below.
-    std::size_t task = 0;
-    while (acquire(id, seen_epoch, task)) {
-      std::exception_ptr error;
-      try {
-        (*job)(task);
-      } catch (...) {
-        error = std::current_exception();
-      }
+void ThreadPool::run_claims() {
+  for (std::size_t i = next_++; i < size_; i = next_++) {
+    try {
+      (*job_)(i);
+    } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (error && !first_error_) first_error_ = error;
-      if (--outstanding_ == 0) done_cv_.notify_all();
+      if (!first_error_) first_error_ = std::current_exception();
     }
+  }
+}
+
+void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;  // sequence number of the last batch joined
+  for (;;) {
+    std::uint64_t state = 0;
+    await([&] {
+      state = state_.load();
+      return stop_.load() || (is_open(state) && (state >> 32) != seen);
+    });
+    if (stop_.load()) return;
+    if (!state_.compare_exchange_strong(state, state + 1)) continue;
+    seen = state >> 32;
+    run_claims();
+    if (((state_.fetch_sub(1) - 1) & kJoinedMask) == 0) wake();
   }
 }
 

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,18 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // ThreadPool
+
+// Waits until `arrived` reaches `target`, for at most ten seconds, so that a
+// pool that runs fewer threads than it should fails its test instead of
+// hanging it.
+void wait_for_arrivals(const std::atomic<int>& arrived, int target) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < target &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   ThreadPool pool(4);
@@ -79,6 +93,99 @@ TEST(ThreadPoolTest, ExceptionPropagatesAndBatchStillDrains) {
   // shlint:shard-safe — atomic counter, order-independent.
   pool.parallel_for(8, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 8);
+
+  // One throw from the caller's own task and one from a worker's, in the
+  // same batch: the two tasks wait for each other, so they run on the two
+  // threads of a pool of 2.
+  ThreadPool pair(2);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> arrived{0};
+    std::vector<std::thread::id> ran_on(2);
+    std::vector<int> drained(16, 0);
+    try {
+      pair.parallel_for(drained.size(), [&](std::size_t i) {
+        drained[i] = 1;
+        if (i >= 2) return;
+        ran_on[i] = std::this_thread::get_id();
+        // shlint:shard-safe — atomic rendezvous counter.
+        ++arrived;
+        wait_for_arrivals(arrived, 2);
+        throw std::runtime_error(i == 0 ? "first" : "second");
+      });
+      ADD_FAILURE() << "the batch did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(std::string(e.what()) == "first" ||
+                  std::string(e.what()) == "second");
+    }
+    ASSERT_EQ(arrived.load(), 2);
+    EXPECT_NE(ran_on[0], ran_on[1]);
+    EXPECT_TRUE(ran_on[0] == std::this_thread::get_id() ||
+                ran_on[1] == std::this_thread::get_id());
+    for (std::size_t i = 0; i < drained.size(); ++i) EXPECT_EQ(drained[i], 1);
+    std::atomic<int> next{0};
+    // shlint:shard-safe — atomic counter, order-independent.
+    pair.parallel_for(5, [&](std::size_t) { ++next; });
+    ASSERT_EQ(next.load(), 5);
+  }
+}
+
+TEST(ThreadPoolTest, RunsOnExactlyThreadCountThreads) {
+  for (const int threads : {2, 4}) {
+    ThreadPool pool(threads);
+    const auto n = static_cast<std::size_t>(threads);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread::id> ran_on(n);
+    // Every task waits for all n to arrive, so each holds its own thread.
+    pool.parallel_for(n, [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+      // shlint:shard-safe — atomic rendezvous counter.
+      ++arrived;
+      wait_for_arrivals(arrived, threads);
+    });
+    ASSERT_EQ(arrived.load(), threads) << "pool of " << threads;
+    const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+    EXPECT_EQ(distinct.size(), n) << "pool of " << threads;
+    EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1U)
+        << "the caller ran no task of a pool of " << threads;
+  }
+}
+
+TEST(ThreadPoolTest, BackToBackTinyBatchesNeverCrossEpochs) {
+  for (const int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    std::atomic<int> current{-1};
+    std::atomic<int> crossed{0};
+    for (int batch = 0; batch < 20000; ++batch) {
+      const std::size_t n = 1 + static_cast<std::size_t>(batch % 3);
+      std::vector<int> hits(n, 0);
+      current.store(batch);
+      pool.parallel_for(n, [&hits, &current, &crossed, batch](std::size_t i) {
+        // shlint:shard-safe — `crossed` is atomic and only ever counts.
+        if (current.load() != batch || i >= hits.size()) ++crossed;
+        ++hits[i];
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i], 1) << "pool of " << threads << ", batch " << batch;
+      }
+    }
+    EXPECT_EQ(crossed.load(), 0) << "pool of " << threads;
+  }
+}
+
+TEST(ThreadPoolTest, ConstructAndDestroyWhileWorkersSpinOrSleep) {
+  for (int round = 0; round < 300; ++round) {
+    ThreadPool pool(2 + round % 7);
+    if (round % 3 == 0) continue;  // destroyed before any batch
+    std::atomic<int> count{0};
+    // shlint:shard-safe — atomic counter, order-independent.
+    pool.parallel_for(9, [&](std::size_t) { ++count; });
+    ASSERT_EQ(count.load(), 9);
+    // Mostly destroyed while the workers still spin; now and then only
+    // after they have gone to sleep.
+    if (round % 50 == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ZeroTasksIsANoOp) {
