@@ -296,16 +296,18 @@ PacketFateTrace generate_trace_scalar(const TraceGeneratorConfig& config,
   for (std::size_t i = 0; i < num_slots; ++i) {
     const Time mid = static_cast<Time>(i) * config.slot_duration +
                      config.slot_duration / 2;
-    TraceSlot slot;
     const double true_snr = channel.snr_db_at(mid);
-    slot.snr_db = static_cast<float>(
+    const auto measured_snr = static_cast<float>(
         true_snr + fate_rng.normal(0.0, config.snr_noise_db));
-    slot.moving = channel.moving_at(mid);
+    const bool moving = channel.moving_at(mid);
+    unsigned mask = 0;
     for (int r = 0; r < mac::kNumRates; ++r) {
-      slot.delivered[static_cast<std::size_t>(r)] =
-          fate_rng.bernoulli(delivery.probability(true_snr, r));
+      mask |= static_cast<unsigned>(
+                  fate_rng.bernoulli(delivery.probability(true_snr, r)))
+              << r;
     }
-    trace.push_back(slot);
+    trace.push_back(
+        TraceSlot{measured_snr, static_cast<std::uint8_t>(mask), moving});
     if (true_snr_out != nullptr) true_snr_out->push_back(true_snr);
   }
   return trace;
@@ -351,15 +353,16 @@ PacketFateTrace generate_trace_block(const TraceGeneratorConfig& config,
     // the exact scalar order — one normal then kNumRates Bernoullis per
     // slot — against the precomputed probability arrays.
     for (std::size_t k = 0; k < len; ++k) {
-      TraceSlot slot;
-      slot.snr_db = static_cast<float>(
+      const auto measured_snr = static_cast<float>(
           snr[k] + fate_rng.normal(0.0, config.snr_noise_db));
-      slot.moving = moving[k];
+      unsigned mask = 0;
       for (int r = 0; r < mac::kNumRates; ++r) {
-        slot.delivered[static_cast<std::size_t>(r)] = fate_rng.bernoulli(
-            probs[static_cast<std::size_t>(r) * block + k]);
+        mask |= static_cast<unsigned>(fate_rng.bernoulli(
+                    probs[static_cast<std::size_t>(r) * block + k]))
+                << r;
       }
-      trace.push_back(slot);
+      trace.push_back(TraceSlot{measured_snr,
+                                static_cast<std::uint8_t>(mask), moving[k]});
       if (true_snr_out != nullptr) true_snr_out->push_back(snr[k]);
     }
   }

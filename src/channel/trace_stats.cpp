@@ -1,12 +1,14 @@
 #include "channel/trace_stats.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace sh::channel {
 
 LossCorrelation loss_correlation(const std::vector<bool>& delivered,
                                  int max_lag) {
-  assert(max_lag >= 1);
+  if (max_lag < 1) {
+    throw std::invalid_argument("loss_correlation: max_lag must be >= 1");
+  }
   LossCorrelation out;
   const std::size_t n = delivered.size();
   std::size_t losses = 0;
@@ -36,8 +38,10 @@ LossCorrelation loss_correlation(const std::vector<bool>& delivered,
 std::vector<DeliveryPoint> delivery_series(const PacketFateTrace& trace,
                                            mac::RateIndex rate,
                                            Duration bucket) {
-  assert(mac::valid_rate(rate));
-  assert(bucket > 0);
+  check_rate(rate, "delivery_series");
+  if (bucket <= 0) {
+    throw std::invalid_argument("delivery_series: bucket must be positive");
+  }
   std::vector<DeliveryPoint> out;
   const auto slots_per_bucket = static_cast<std::size_t>(
       bucket / trace.slot_duration());
@@ -49,7 +53,7 @@ std::vector<DeliveryPoint> delivery_series(const PacketFateTrace& trace,
     std::size_t moving_count = 0;
     for (std::size_t i = start; i < start + slots_per_bucket; ++i) {
       const auto& slot = trace.slot(i);
-      if (slot.delivered[static_cast<std::size_t>(rate)]) ++delivered_count;
+      if (slot.delivered(rate)) ++delivered_count;
       if (slot.moving) ++moving_count;
     }
     DeliveryPoint point;

@@ -16,7 +16,7 @@ struct LossCorrelation {
 
 /// Computes loss autocorrelation from a sequence of per-packet fates
 /// (true = delivered). Lags with no conditioning events report the
-/// unconditional loss.
+/// unconditional loss. Throws std::invalid_argument if max_lag < 1.
 LossCorrelation loss_correlation(const std::vector<bool>& delivered,
                                  int max_lag);
 
@@ -28,7 +28,8 @@ struct DeliveryPoint {
 
 /// Per-bucket delivery ratio at one rate over a trace (bucket defaults to the
 /// paper's 1 second). `moving` is the majority ground-truth motion flag of
-/// the bucket.
+/// the bucket. Throws std::invalid_argument for an invalid rate or a
+/// non-positive bucket.
 std::vector<DeliveryPoint> delivery_series(const PacketFateTrace& trace,
                                            mac::RateIndex rate,
                                            Duration bucket = kSecond);

@@ -20,16 +20,13 @@ ProbeSeries::ProbeSeries(Duration interval, std::vector<bool> fates,
 
 ProbeSeries ProbeSeries::from_trace(const channel::PacketFateTrace& trace,
                                     mac::RateIndex rate) {
-  // Checked in every build: `rate` indexes the 8-entry delivered array.
-  if (!mac::valid_rate(rate)) {
-    throw std::invalid_argument("ProbeSeries::from_trace: invalid rate");
-  }
+  channel::check_rate(rate, "ProbeSeries::from_trace");
   std::vector<bool> fates;
   std::vector<bool> moving;
   fates.reserve(trace.size());
   moving.reserve(trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    fates.push_back(trace.slot(i).delivered[static_cast<std::size_t>(rate)]);
+    fates.push_back(trace.slot(i).delivered(rate));
     moving.push_back(trace.slot(i).moving);
   }
   return ProbeSeries(trace.slot_duration(), std::move(fates),

@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "channel/environment.h"
@@ -384,8 +385,7 @@ TEST(PacketFateTraceTest, DeliveryRatioCountsPerRate) {
   PacketFateTrace trace;
   for (int i = 0; i < 10; ++i) {
     TraceSlot slot;
-    slot.delivered[0] = true;
-    slot.delivered[7] = (i % 2 == 0);
+    slot.fate_mask = (i % 2 == 0) ? 0b1000'0001 : 0b1;
     trace.push_back(slot);
   }
   EXPECT_DOUBLE_EQ(trace.delivery_ratio(0), 1.0);
@@ -405,7 +405,7 @@ TEST(PacketFateTraceTest, SaveLoadRoundTrips) {
   ASSERT_EQ(loaded->size(), trace.size());
   EXPECT_EQ(loaded->slot_duration(), trace.slot_duration());
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(loaded->slot(i).delivered, trace.slot(i).delivered);
+    EXPECT_EQ(loaded->slot(i).fate_mask, trace.slot(i).fate_mask);
     EXPECT_FLOAT_EQ(loaded->slot(i).snr_db, trace.slot(i).snr_db);
     EXPECT_EQ(loaded->slot(i).moving, trace.slot(i).moving);
   }
@@ -426,6 +426,80 @@ TEST(PacketFateTraceTest, LoadRejectsEmptyAndOversizedHeaders) {
   std::stringstream huge("sensorhints-trace v1\n5000 99999999999999999\n"
                          "1 2 0\n");
   EXPECT_FALSE(PacketFateTrace::load(huge).has_value());
+}
+
+TEST(PacketFateTraceTest, LoadRejectsOutOfRangeFields) {
+  // Each field is range-checked before it narrows into the slot: a mask
+  // must fit the eight rate bits and the motion flag must be 0 or 1.
+  for (const char* line : {"256 20 0", "-1 20 0", "4294967295 20 0",
+                           "3 20 7", "3 20 -1", "3 20 2"}) {
+    std::stringstream in(std::string("sensorhints-trace v1\n5000 1\n") +
+                         line + "\n");
+    EXPECT_FALSE(PacketFateTrace::load(in).has_value()) << line;
+  }
+}
+
+TEST(PacketFateTraceTest, LoadRejectsDataAfterDeclaredSlots) {
+  std::stringstream extra("sensorhints-trace v1\n5000 1\n3 20 0\n3 20 0\n");
+  EXPECT_FALSE(PacketFateTrace::load(extra).has_value());
+  std::stringstream junk("sensorhints-trace v1\n5000 1\n3 20 0 x\n");
+  EXPECT_FALSE(PacketFateTrace::load(junk).has_value());
+  std::stringstream blank("sensorhints-trace v1\n5000 1\n255 20 1\n \n\n");
+  const auto loaded = PacketFateTrace::load(blank);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->slot(0).fate_mask, 0xFF);
+  EXPECT_TRUE(loaded->slot(0).moving);
+  std::stringstream no_newline("sensorhints-trace v1\n5000 1\n0 20 0");
+  EXPECT_TRUE(PacketFateTrace::load(no_newline).has_value());
+}
+
+TEST(PacketFateTraceTest, FateMaskBitPerRate) {
+  TraceSlot slot;
+  slot.fate_mask = 0b1000'0001;
+  slot.snr_db = 17.25F;
+  slot.moving = true;
+  for (mac::RateIndex r = 0; r < mac::kNumRates; ++r) {
+    EXPECT_EQ(slot.delivered(r), r == 0 || r == 7) << "rate " << r;
+  }
+  PacketFateTrace trace;
+  trace.push_back(slot);
+  EXPECT_TRUE(trace.delivered(0, 0));
+  EXPECT_FALSE(trace.delivered(0, 3));
+  EXPECT_TRUE(trace.delivered(0, 7));
+
+  std::stringstream buffer;
+  trace.save(buffer);
+  EXPECT_EQ(buffer.str(), "sensorhints-trace v1\n5000 1\n129 17.25 1\n");
+  const auto loaded = PacketFateTrace::load(buffer);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 1U);
+  EXPECT_EQ(loaded->slot(0), slot);
+}
+
+TEST(PacketFateTraceTest, SaveLoadSaveIsByteIdentical) {
+  TraceGeneratorConfig config;
+  config.scenario = sim::MobilityScenario::static_then_walking(4 * kSecond);
+  config.seed = 29;
+  std::stringstream first;
+  generate_trace(config).save(first);
+  std::stringstream copy(first.str());
+  const auto loaded = PacketFateTrace::load(copy);
+  ASSERT_TRUE(loaded.has_value());
+  std::stringstream second;
+  loaded->save(second);
+  EXPECT_EQ(second.str(), first.str());
+}
+
+TEST(PacketFateTraceTest, InvalidRateThrowsInEveryBuild) {
+  PacketFateTrace trace;
+  trace.push_back(TraceSlot{20.0F, 0xFF, false});
+  for (const mac::RateIndex bad : {-1, mac::kNumRates, 32, 40}) {
+    EXPECT_THROW((void)trace.delivered(0, bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)trace.delivery_ratio(bad), std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)delivery_series(trace, bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -543,7 +617,7 @@ TEST(GenerateTraceTest, DeterministicForConfig) {
   const auto b = generate_trace(config);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.slot(i).delivered, b.slot(i).delivered);
+    EXPECT_EQ(a.slot(i).fate_mask, b.slot(i).fate_mask);
   }
 }
 
@@ -648,6 +722,20 @@ TEST(LossCorrelationTest, AllDeliveredFallsBackToUnconditional) {
   const auto lc = loss_correlation(fates, 5);
   EXPECT_DOUBLE_EQ(lc.unconditional_loss, 0.0);
   for (const double c : lc.conditional_loss) EXPECT_DOUBLE_EQ(c, 0.0);
+}
+
+TEST(LossCorrelationTest, RejectsLagBelowOne) {
+  const std::vector<bool> fates(10, true);
+  EXPECT_THROW((void)loss_correlation(fates, 0), std::invalid_argument);
+  EXPECT_THROW((void)loss_correlation(fates, -3), std::invalid_argument);
+}
+
+TEST(DeliverySeriesTest, RejectsNonPositiveBucket) {
+  PacketFateTrace trace;
+  trace.push_back(TraceSlot{});
+  EXPECT_THROW((void)delivery_series(trace, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)delivery_series(trace, 0, -kSecond),
+               std::invalid_argument);
 }
 
 TEST(DeliverySeriesTest, BucketsAndMotionFlags) {

@@ -111,7 +111,7 @@ TEST(HintedRunnerTest, StandaloneFramesFillTrafficGaps) {
     channel::TraceSlot slot;
     const double t_s = static_cast<double>(i) * 0.005;
     const bool dark = t_s >= 9.5 && t_s < 13.0;
-    slot.delivered.fill(!dark);
+    slot.fate_mask = dark ? 0 : 0xFF;
     slot.snr_db = dark ? -10.0F : 30.0F;
     slot.moving = t_s >= 10.0;
     trace.push_back(slot);

@@ -277,7 +277,7 @@ TEST(TraceGeneratorPropertyTest, SeedsAndOffsetsComposeDeterministically) {
     const auto b = channel::generate_trace(cfg);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); i += 37) {
-      ASSERT_EQ(a.slot(i).delivered, b.slot(i).delivered);
+      ASSERT_EQ(a.slot(i).fate_mask, b.slot(i).fate_mask);
       ASSERT_FLOAT_EQ(a.slot(i).snr_db, b.slot(i).snr_db);
     }
   }

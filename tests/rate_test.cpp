@@ -32,7 +32,7 @@ channel::PacketFateTrace uniform_trace(bool delivered, std::size_t slots = 400,
   channel::PacketFateTrace trace;
   for (std::size_t i = 0; i < slots; ++i) {
     channel::TraceSlot slot;
-    slot.delivered.fill(delivered);
+    slot.fate_mask = delivered ? 0xFF : 0;
     slot.snr_db = snr_db;
     trace.push_back(slot);
   }

@@ -43,7 +43,7 @@ TEST(ProbeSeriesTest, FromTraceExtractsRateColumn) {
   channel::PacketFateTrace trace;
   for (int i = 0; i < 4; ++i) {
     channel::TraceSlot slot;
-    slot.delivered[0] = (i % 2 == 0);
+    slot.fate_mask = (i % 2 == 0) ? 0b1 : 0;
     slot.moving = (i >= 2);
     trace.push_back(slot);
   }

@@ -110,7 +110,7 @@ TEST(TraceCacheTest, CachedEqualsFresh) {
   const auto fresh = generate_trace(small_config());
   ASSERT_EQ(cached->size(), fresh.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(cached->slot(i).delivered, fresh.slot(i).delivered);
+    EXPECT_EQ(cached->slot(i).fate_mask, fresh.slot(i).fate_mask);
     EXPECT_EQ(cached->slot(i).snr_db, fresh.slot(i).snr_db);
     EXPECT_EQ(cached->slot(i).moving, fresh.slot(i).moving);
   }
