@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -100,6 +101,47 @@ TEST(RoadNetworkTest, ChordsCityDeterministicPerSeed) {
   for (int i = 0; i < a.num_intersections(); ++i) {
     EXPECT_DOUBLE_EQ(a.position(i).x, b.position(i).x);
   }
+}
+
+/// FNV-1a over every node's degree and neighbor ids, in neighbor order.
+std::uint64_t neighbor_order_hash(const RoadNetwork& net) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(static_cast<std::uint32_t>(net.num_intersections()));
+  for (int i = 0; i < net.num_intersections(); ++i) {
+    const auto adj = net.neighbors(i);
+    mix(static_cast<std::uint32_t>(adj.size()));
+    for (const auto n : adj) mix(static_cast<std::uint32_t>(n));
+  }
+  return h;
+}
+
+/// TrafficSim's road following indexes candidates and breaks heading ties
+/// in neighbor order, and shortest_path's BFS expands in it, so every
+/// builder's per-node order is part of the output. Pinned directly here;
+/// the trajectory and link pins only see a reorder indirectly.
+TEST(RoadNetworkTest, NeighborOrderPinnedForEveryBuilder) {
+  EXPECT_EQ(neighbor_order_hash(RoadNetwork::city_for_scale(100, 5180)),
+            8586129488395056924ULL);
+  EXPECT_EQ(neighbor_order_hash(RoadNetwork::city_for_scale(1000, 5181)),
+            7134634455384847232ULL);
+  EXPECT_EQ(neighbor_order_hash(RoadNetwork::city_for_scale(10000, 5182)),
+            13517450095552872959ULL);
+  EXPECT_EQ(neighbor_order_hash(RoadNetwork::chords_city(16, 3000.0, 7)),
+            1683670936900780279ULL);
+  EXPECT_EQ(
+      neighbor_order_hash(RoadNetwork::chords_city(40, 5000.0, 11, 0.5, 4.0)),
+      647782977469065340ULL);
+  EXPECT_EQ(neighbor_order_hash(RoadNetwork::grid(5, 4, 100.0)),
+            15198328152761392892ULL);
+  EXPECT_EQ(neighbor_order_hash(
+                RoadNetwork::irregular_grid(6, 5, 120.0, 0.25, 9)),
+            1934320805178633528ULL);
 }
 
 // ---------------------------------------------------------------------------
