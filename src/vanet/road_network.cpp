@@ -1,14 +1,40 @@
 #include "vanet/road_network.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <numbers>
 #include <queue>
+#include <set>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
 namespace sh::vanet {
+
+namespace {
+
+/// Largest network a builder makes: ids fit an Intersection, and four
+/// neighbors per node fit the 32-bit offsets.
+constexpr std::int64_t kMaxIntersections = (std::int64_t{1} << 30) - 1;
+
+void require(bool ok, const char* message) {
+  if (!ok) throw std::invalid_argument(message);
+}
+
+/// Node count of a `cols` x `rows` lattice; larger than kMaxIntersections
+/// is a bad shape.
+std::size_t lattice_size(std::int64_t cols, std::int64_t rows,
+                         const char* message) {
+  require(cols <= kMaxIntersections && rows <= kMaxIntersections &&
+              cols * rows <= kMaxIntersections,
+          message);
+  return static_cast<std::size_t>(cols * rows);
+}
+
+}  // namespace
 
 double distance(const Vec2& a, const Vec2& b) noexcept {
   return std::hypot(a.x - b.x, a.y - b.y);
@@ -24,25 +50,30 @@ double heading_of(const Vec2& from, const Vec2& to) noexcept {
 }
 
 RoadNetwork RoadNetwork::grid(int cols, int rows, double spacing_m) {
-  assert(cols >= 2 && rows >= 2);
-  assert(spacing_m > 0.0);
+  require(cols >= 2 && rows >= 2,
+          "RoadNetwork::grid: cols and rows must be >= 2");
+  require(spacing_m > 0.0 && std::isfinite(spacing_m),
+          "RoadNetwork::grid: spacing_m must be positive and finite");
+  const std::size_t n =
+      lattice_size(cols, rows, "RoadNetwork::grid: too many intersections");
   RoadNetwork net;
   net.spacing_m_ = spacing_m;
-  net.positions_.reserve(static_cast<std::size_t>(cols * rows));
-  net.adjacency_.resize(static_cast<std::size_t>(cols * rows));
+  net.positions_.reserve(n);
+  net.offsets_.reserve(n + 1);
+  net.offsets_.push_back(0);
+  // Two entries per segment: rows * (cols - 1) across, cols * (rows - 1) up.
+  net.targets_.reserve(2 * (2 * n - static_cast<std::size_t>(cols + rows)));
   auto id = [cols](int c, int r) { return r * cols + c; };
+  // Each node's neighbors are appended in node order, so the CSR fills as
+  // the nodes are made.
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       net.positions_.push_back(Vec2{c * spacing_m, r * spacing_m});
-    }
-  }
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      auto& adj = net.adjacency_[static_cast<std::size_t>(id(c, r))];
-      if (c > 0) adj.push_back(id(c - 1, r));
-      if (c + 1 < cols) adj.push_back(id(c + 1, r));
-      if (r > 0) adj.push_back(id(c, r - 1));
-      if (r + 1 < rows) adj.push_back(id(c, r + 1));
+      if (c > 0) net.targets_.push_back(id(c - 1, r));
+      if (c + 1 < cols) net.targets_.push_back(id(c + 1, r));
+      if (r > 0) net.targets_.push_back(id(c, r - 1));
+      if (r + 1 < rows) net.targets_.push_back(id(c, r + 1));
+      net.offsets_.push_back(static_cast<std::uint32_t>(net.targets_.size()));
     }
   }
   return net;
@@ -51,7 +82,8 @@ RoadNetwork RoadNetwork::grid(int cols, int rows, double spacing_m) {
 RoadNetwork RoadNetwork::irregular_grid(int cols, int rows, double spacing_m,
                                         double jitter_frac,
                                         std::uint64_t seed) {
-  assert(jitter_frac >= 0.0 && jitter_frac < 0.5);
+  require(jitter_frac >= 0.0 && jitter_frac < 0.5,
+          "RoadNetwork::irregular_grid: jitter_frac must be in [0, 0.5)");
   RoadNetwork net = grid(cols, rows, spacing_m);
   util::Rng rng(seed);
   const double jitter = jitter_frac * spacing_m;
@@ -65,9 +97,14 @@ RoadNetwork RoadNetwork::irregular_grid(int cols, int rows, double spacing_m,
 RoadNetwork RoadNetwork::chords_city(int num_roads, double size_m,
                                      std::uint64_t seed, double cluster_frac,
                                      double cluster_spread_deg) {
-  assert(num_roads >= 2);
-  assert(size_m > 0.0);
-  assert(cluster_frac >= 0.0 && cluster_frac <= 1.0);
+  require(num_roads >= 2, "RoadNetwork::chords_city: num_roads must be >= 2");
+  require(size_m > 0.0 && std::isfinite(size_m),
+          "RoadNetwork::chords_city: size_m must be positive and finite");
+  require(cluster_frac >= 0.0 && cluster_frac <= 1.0,
+          "RoadNetwork::chords_city: cluster_frac must be in [0, 1]");
+  require(cluster_spread_deg >= 0.0 && std::isfinite(cluster_spread_deg),
+          "RoadNetwork::chords_city: cluster_spread_deg must be >= 0 and "
+          "finite");
   util::Rng rng(seed);
   const double base_angle = rng.uniform(0.0, std::numbers::pi / 2.0);
   const double spread_rad = cluster_spread_deg * std::numbers::pi / 180.0;
@@ -118,12 +155,13 @@ RoadNetwork RoadNetwork::chords_city(int num_roads, double size_m,
         return static_cast<Intersection>(i);
     }
     net.positions_.push_back(pos);
-    net.adjacency_.emplace_back();
     return static_cast<Intersection>(net.positions_.size() - 1);
   };
 
   // Per road: collect the endpoints plus every in-bounds crossing with the
   // other roads, ordered along the road, then chain them into edges.
+  std::vector<Append> appends;
+  std::set<std::pair<Intersection, Intersection>> segments;  // (min, max).
   for (std::size_t i = 0; i < roads.size(); ++i) {
     const Road& a = roads[i];
     std::vector<double> ts{a.t_min, a.t_max};
@@ -147,19 +185,16 @@ RoadNetwork RoadNetwork::chords_city(int num_roads, double size_m,
       if (prev != -1 && t - prev_t < 20.0) continue;  // Merge near crossings.
       const Vec2 pos{a.point.x + t * a.dir.x, a.point.y + t * a.dir.y};
       const Intersection node = node_at(pos);
-      if (prev != -1 && node != prev) {
-        auto& adj_prev = net.adjacency_[static_cast<std::size_t>(prev)];
-        auto& adj_node = net.adjacency_[static_cast<std::size_t>(node)];
-        if (std::find(adj_prev.begin(), adj_prev.end(), node) ==
-            adj_prev.end()) {
-          adj_prev.push_back(node);
-          adj_node.push_back(prev);
-        }
+      if (prev != -1 && node != prev &&
+          segments.insert(std::minmax(prev, node)).second) {
+        appends.emplace_back(prev, node);
+        appends.emplace_back(node, prev);
       }
       prev = node;
       prev_t = t;
     }
   }
+  net.set_adjacency(appends);
   return net;
 }
 
@@ -167,19 +202,25 @@ RoadNetwork RoadNetwork::city_grid(int districts_cols, int districts_rows,
                                    int blocks_per_district, double block_m,
                                    std::uint64_t seed, double local_drop_frac,
                                    double jitter_frac) {
-  assert(districts_cols >= 1 && districts_rows >= 1);
-  assert(blocks_per_district >= 2);
-  assert(block_m > 0.0);
-  assert(local_drop_frac >= 0.0 && local_drop_frac < 1.0);
-  assert(jitter_frac >= 0.0 && jitter_frac < 0.5);
+  require(districts_cols >= 1 && districts_rows >= 1,
+          "RoadNetwork::city_grid: district counts must be >= 1");
+  require(blocks_per_district >= 2,
+          "RoadNetwork::city_grid: blocks_per_district must be >= 2");
+  require(block_m > 0.0 && std::isfinite(block_m),
+          "RoadNetwork::city_grid: block_m must be positive and finite");
+  require(local_drop_frac >= 0.0 && local_drop_frac < 1.0,
+          "RoadNetwork::city_grid: local_drop_frac must be in [0, 1)");
+  require(jitter_frac >= 0.0 && jitter_frac < 0.5,
+          "RoadNetwork::city_grid: jitter_frac must be in [0, 0.5)");
+  const std::size_t n =
+      lattice_size(std::int64_t{districts_cols} * blocks_per_district + 1,
+                   std::int64_t{districts_rows} * blocks_per_district + 1,
+                   "RoadNetwork::city_grid: too many intersections");
   const int cols = districts_cols * blocks_per_district + 1;
   const int rows = districts_rows * blocks_per_district + 1;
   RoadNetwork net;
   net.spacing_m_ = block_m;
-  net.positions_.reserve(static_cast<std::size_t>(cols) *
-                         static_cast<std::size_t>(rows));
-  net.adjacency_.resize(static_cast<std::size_t>(cols) *
-                        static_cast<std::size_t>(rows));
+  net.positions_.reserve(n);
   util::Rng rng(seed);
   const auto id = [cols](int c, int r) { return r * cols + c; };
   const auto on_arterial = [blocks_per_district](int v) {
@@ -200,42 +241,80 @@ RoadNetwork RoadNetwork::city_grid(int districts_cols, int districts_rows,
       net.positions_.push_back(pos);
     }
   }
-  const auto connect = [&net](Intersection a, Intersection b) {
-    net.adjacency_[static_cast<std::size_t>(a)].push_back(b);
-    net.adjacency_[static_cast<std::size_t>(b)].push_back(a);
-  };
   // Row-major edge pass (east edge then north edge per node — a fixed order,
   // so the thinning draws are a pure function of the seed). An edge is
-  // arterial iff it runs along a district boundary line.
+  // arterial iff it runs along a district boundary line. Each node keeps the
+  // bits of the edges it starts.
+  enum : std::uint8_t { kEast = 1, kNorth = 2, kReconnected = 4 };
+  std::vector<std::uint8_t> roads(n, 0);
+  std::size_t entries = 0;  // Two per kept edge.
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
-      if (c + 1 < cols) {
-        const bool arterial = on_arterial(r);
-        if (arterial || !rng.bernoulli(local_drop_frac)) {
-          connect(id(c, r), id(c + 1, r));
-        }
+      auto& bits = roads[static_cast<std::size_t>(id(c, r))];
+      if (c + 1 < cols && (on_arterial(r) || !rng.bernoulli(local_drop_frac))) {
+        bits |= kEast;
       }
-      if (r + 1 < rows) {
-        const bool arterial = on_arterial(c);
-        if (arterial || !rng.bernoulli(local_drop_frac)) {
-          connect(id(c, r), id(c, r + 1));
-        }
+      if (r + 1 < rows && (on_arterial(c) || !rng.bernoulli(local_drop_frac))) {
+        bits |= kNorth;
       }
+      entries += 2 * static_cast<std::size_t>(std::popcount(bits));
     }
   }
   // Thinning can strand an interior node (every incident local street
   // dropped); reconnect it eastward so no vehicle spawns parked forever.
+  // Those streets follow the lattice ones in both endpoints' lists, in the
+  // order they are made.
+  const auto south = [&roads, cols](std::size_t i) {
+    return roads[i - static_cast<std::size_t>(cols)];
+  };
+  const auto stranded = [&](int c, int r) {
+    const auto i = static_cast<std::size_t>(id(c, r));
+    return roads[i] == 0 && (c == 0 || (roads[i - 1] & kEast) == 0) &&
+           (r == 0 || (south(i) & kNorth) == 0);
+  };
+  std::vector<Append> reconnects;
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
-      if (!net.adjacency_[static_cast<std::size_t>(id(c, r))].empty()) continue;
-      connect(id(c, r), c + 1 < cols ? id(c + 1, r) : id(c - 1, r));
+      if (!stranded(c, r)) continue;
+      const Intersection node = id(c, r);
+      const Intersection other = c + 1 < cols ? id(c + 1, r) : id(c - 1, r);
+      reconnects.emplace_back(node, other);
+      reconnects.emplace_back(other, node);
+      roads[static_cast<std::size_t>(node)] |= kReconnected;
+      roads[static_cast<std::size_t>(other)] |= kReconnected;
+    }
+  }
+  std::ranges::stable_sort(reconnects, std::less{}, &Append::first);
+  // CSR fill in node order. A node's lattice neighbors arrive in the order
+  // the edge pass made them: its south edge (made a row earlier), its west
+  // edge, then its own east and north edges.
+  net.offsets_.reserve(n + 1);
+  net.offsets_.push_back(0);
+  net.targets_.reserve(entries + reconnects.size());
+  auto extra = reconnects.cbegin();
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const Intersection node = id(c, r);
+      const auto i = static_cast<std::size_t>(node);
+      if (r > 0 && (south(i) & kNorth) != 0) {
+        net.targets_.push_back(node - cols);
+      }
+      if (c > 0 && (roads[i - 1] & kEast) != 0) {
+        net.targets_.push_back(node - 1);
+      }
+      if ((roads[i] & kEast) != 0) net.targets_.push_back(node + 1);
+      if ((roads[i] & kNorth) != 0) net.targets_.push_back(node + cols);
+      for (; extra != reconnects.cend() && extra->first == node; ++extra) {
+        net.targets_.push_back(extra->second);
+      }
+      net.offsets_.push_back(static_cast<std::uint32_t>(net.targets_.size()));
     }
   }
   return net;
 }
 
 RoadNetwork RoadNetwork::city_for_scale(int vehicles, std::uint64_t seed) {
-  assert(vehicles >= 1);
+  require(vehicles >= 1, "RoadNetwork::city_for_scale: vehicles must be >= 1");
   // ~9e4 m² per vehicle — the 100-vehicle / 3000 m chords_city density the
   // Table 5-1 reproduction calibrated against.
   const double side_m = std::sqrt(static_cast<double>(vehicles) * 9.0e4);
@@ -248,8 +327,9 @@ RoadNetwork RoadNetwork::city_for_scale(int vehicles, std::uint64_t seed) {
 
 std::vector<RoadNetwork::Intersection> RoadNetwork::shortest_path(
     Intersection from, Intersection to) const {
-  assert(from >= 0 && from < num_intersections());
-  assert(to >= 0 && to < num_intersections());
+  for (const Intersection id : {from, to}) {
+    if (id < 0 || id >= num_intersections()) throw_bad_id("shortest_path", id);
+  }
   if (from == to) return {};
   std::vector<Intersection> parent(positions_.size(), -1);
   std::queue<Intersection> frontier;
@@ -274,6 +354,32 @@ std::vector<RoadNetwork::Intersection> RoadNetwork::shortest_path(
   path.push_back(from);
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+void RoadNetwork::set_adjacency(std::span<const Append> appends) {
+  // Count each node's entries, prefix-sum the counts into offsets, then
+  // scatter the entries in append order behind per-node cursors.
+  offsets_.assign(positions_.size() + 1, 0);
+  for (const Append& append : appends) {
+    ++offsets_[static_cast<std::size_t>(append.first) + 1];
+  }
+  for (std::size_t i = 1; i < offsets_.size(); ++i) {
+    offsets_[i] += offsets_[i - 1];
+  }
+  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  targets_.resize(appends.size());
+  for (const auto& [node, next] : appends) {
+    targets_[cursor[static_cast<std::size_t>(node)]++] = next;
+  }
+}
+
+void RoadNetwork::throw_bad_id(const char* what, Intersection i) {
+  std::string message = "RoadNetwork::";
+  message += what;
+  message += ": intersection ";
+  message += std::to_string(i);
+  message += " is out of range";
+  throw std::out_of_range(message);
 }
 
 }  // namespace sh::vanet

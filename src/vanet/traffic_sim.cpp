@@ -99,7 +99,7 @@ void TrafficSim::assign_new_path(Vehicle& v) {
 
 void TrafficSim::follow_road_from(Vehicle& v, RoadNetwork::Intersection node,
                                   double heading_deg) {
-  const auto& neighbors = net_.neighbors(node);
+  const auto neighbors = net_.neighbors(node);
   if (neighbors.empty()) return;
 
   // Candidates are the neighbors other than the node we came from, in

@@ -188,7 +188,7 @@ TEST(RoadNetworkPropertyTest, ChordsCityEdgesStayInBounds) {
       EXPECT_LE(pos.y, 2001.0);
       // Adjacency is symmetric.
       for (const auto n : net.neighbors(i)) {
-        const auto& back = net.neighbors(n);
+        const auto back = net.neighbors(n);
         EXPECT_NE(std::find(back.begin(), back.end(), i), back.end());
       }
     }

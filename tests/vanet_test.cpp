@@ -4,8 +4,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/stats.h"
@@ -142,6 +145,133 @@ TEST(RoadNetworkTest, NeighborOrderPinnedForEveryBuilder) {
   EXPECT_EQ(neighbor_order_hash(
                 RoadNetwork::irregular_grid(6, 5, 120.0, 0.25, 9)),
             1934320805178633528ULL);
+  // Heavy thinning: many stranded nodes, so the reconnect entries that
+  // follow the lattice neighbors are pinned too.
+  EXPECT_EQ(neighbor_order_hash(
+                RoadNetwork::city_grid(4, 3, 4, 120.0, 99, 0.9, 0.2)),
+            11084462266775931971ULL);
+  EXPECT_EQ(
+      neighbor_order_hash(RoadNetwork::city_grid(3, 3, 6, 100.0, 98, 0.6)),
+      1217441539823939295ULL);
+}
+
+// Builder contracts hold in every build type, NDEBUG included: unchecked,
+// city_grid(2, 2, 0, ...) divides by zero and city_grid(0, 0, ...) writes
+// before its first node.
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(RoadNetworkContractTest, GridRejectsBadShapeOrSpacing) {
+  for (const auto& [cols, rows] :
+       {std::pair{0, 3}, std::pair{1, 3}, std::pair{3, 1}, std::pair{-2, 3}}) {
+    EXPECT_THROW(RoadNetwork::grid(cols, rows, 100.0), std::invalid_argument)
+        << cols << "x" << rows;
+  }
+  for (const double spacing : {0.0, -100.0, kNan, kInf}) {
+    EXPECT_THROW(RoadNetwork::grid(3, 3, spacing), std::invalid_argument)
+        << spacing;
+  }
+  // 2^32 nodes: rejected before anything is allocated.
+  EXPECT_THROW(RoadNetwork::grid(1 << 16, 1 << 16, 100.0),
+               std::invalid_argument);
+  EXPECT_EQ(RoadNetwork::grid(2, 2, 100.0).num_intersections(), 4);
+}
+
+TEST(RoadNetworkContractTest, IrregularGridRejectsBadJitter) {
+  for (const double jitter : {-0.1, 0.5, kNan}) {
+    EXPECT_THROW(RoadNetwork::irregular_grid(4, 4, 100.0, jitter, 1),
+                 std::invalid_argument)
+        << jitter;
+  }
+  EXPECT_THROW(RoadNetwork::irregular_grid(0, 4, 100.0, 0.2, 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(RoadNetwork::irregular_grid(4, 4, 100.0, 0.0, 1));
+}
+
+TEST(RoadNetworkContractTest, ChordsCityRejectsBadArguments) {
+  EXPECT_THROW(RoadNetwork::chords_city(1, 2000.0, 1), std::invalid_argument);
+  EXPECT_THROW(RoadNetwork::chords_city(0, 2000.0, 1), std::invalid_argument);
+  for (const double size : {0.0, -2000.0, kNan, kInf}) {
+    EXPECT_THROW(RoadNetwork::chords_city(12, size, 1), std::invalid_argument)
+        << size;
+  }
+  for (const double frac : {-0.1, 1.1, kNan}) {
+    EXPECT_THROW(RoadNetwork::chords_city(12, 2000.0, 1, frac),
+                 std::invalid_argument)
+        << frac;
+  }
+  for (const double spread : {-1.0, kNan, kInf}) {
+    EXPECT_THROW(RoadNetwork::chords_city(12, 2000.0, 1, 0.7, spread),
+                 std::invalid_argument)
+        << spread;
+  }
+  EXPECT_NO_THROW(RoadNetwork::chords_city(12, 2000.0, 1, 0.0, 0.0));
+  EXPECT_NO_THROW(RoadNetwork::chords_city(12, 2000.0, 1, 1.0));
+}
+
+TEST(RoadNetworkContractTest, CityGridRejectsBadArguments) {
+  for (const auto& [cols, rows, blocks] :
+       {std::tuple{2, 2, 0}, std::tuple{2, 2, 1}, std::tuple{0, 0, 5},
+        std::tuple{0, 2, 5}, std::tuple{2, -1, 5}}) {
+    EXPECT_THROW(RoadNetwork::city_grid(cols, rows, blocks, 150.0, 1),
+                 std::invalid_argument)
+        << cols << "x" << rows << " districts of " << blocks;
+  }
+  for (const double block : {0.0, -150.0, kNan, kInf}) {
+    EXPECT_THROW(RoadNetwork::city_grid(2, 2, 5, block, 1),
+                 std::invalid_argument)
+        << block;
+  }
+  for (const double drop : {-0.1, 1.0, kNan}) {
+    EXPECT_THROW(RoadNetwork::city_grid(2, 2, 5, 150.0, 1, drop),
+                 std::invalid_argument)
+        << drop;
+  }
+  for (const double jitter : {-0.1, 0.5, kNan}) {
+    EXPECT_THROW(RoadNetwork::city_grid(2, 2, 5, 150.0, 1, 0.15, jitter),
+                 std::invalid_argument)
+        << jitter;
+  }
+  // Shapes whose node count overflows: rejected before anything is built.
+  EXPECT_THROW(RoadNetwork::city_grid(100000, 100000, 5, 150.0, 1),
+               std::invalid_argument);
+  constexpr int kMax = std::numeric_limits<int>::max();
+  EXPECT_THROW(RoadNetwork::city_grid(kMax, kMax, kMax, 150.0, 1),
+               std::invalid_argument);
+  EXPECT_EQ(RoadNetwork::city_grid(1, 1, 2, 150.0, 1).num_intersections(), 9);
+}
+
+TEST(RoadNetworkContractTest, CityForScaleRejectsBadVehicleCount) {
+  EXPECT_THROW(RoadNetwork::city_for_scale(0, 1), std::invalid_argument);
+  EXPECT_THROW(RoadNetwork::city_for_scale(-5, 1), std::invalid_argument);
+  // A fleet this large needs ~8.6e9 intersections.
+  EXPECT_THROW(RoadNetwork::city_for_scale(std::numeric_limits<int>::max(), 1),
+               std::invalid_argument);
+  EXPECT_GT(RoadNetwork::city_for_scale(1, 1).num_intersections(), 0);
+}
+
+TEST(RoadNetworkContractTest, ShortestPathRejectsOutOfRangeIds) {
+  const auto net = RoadNetwork::grid(3, 3, 100.0);
+  for (const auto& [from, to] :
+       {std::pair{-5, 4}, std::pair{4, -1}, std::pair{9, 0}, std::pair{0, 9},
+        std::pair{-5, -5}, std::pair{9, 9}}) {
+    EXPECT_THROW(net.shortest_path(from, to), std::out_of_range)
+        << from << "->" << to;
+  }
+  EXPECT_EQ(net.shortest_path(0, 8).size(), 5U);
+}
+
+TEST(RoadNetworkContractTest, NeighborsAndPositionRejectOutOfRangeIds) {
+  const auto net = RoadNetwork::grid(3, 3, 100.0);
+  for (const int id : {-1, 9, std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max()}) {
+    EXPECT_THROW(net.neighbors(id), std::out_of_range) << id;
+    EXPECT_THROW(net.position(id), std::out_of_range) << id;
+  }
+  const RoadNetwork empty;
+  EXPECT_THROW(empty.neighbors(0), std::out_of_range);
+  EXPECT_THROW(empty.position(0), std::out_of_range);
+  EXPECT_EQ(net.neighbors(8).size(), 2U);
 }
 
 // ---------------------------------------------------------------------------
