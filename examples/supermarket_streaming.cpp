@@ -3,21 +3,18 @@
 // walking between aisles, streaming over the in-store WiFi the whole time.
 //
 // This example runs the FULL hint pipeline — accelerometer samples feed the
-// jerk detector, movement hints go onto the hint bus, the sender's
-// hint-aware rate adapter consults them with realistic propagation lag —
-// and prints the hint timeline plus per-phase and total throughput against
-// the fixed strategies.
+// jerk detector, and the phone's movement hint reaches the sender only in
+// the ACKs and standalone hint frames the channel delivers, where the
+// hint-aware rate adapter consults it — and prints the detector timeline
+// plus total throughput against the fixed strategies.
+#include <cstdint>
 #include <cstdio>
-#include <vector>
 
 #include "channel/trace_generator.h"
-#include "core/hint_bus.h"
-#include "rate/hint_aware.h"
+#include "rate/hinted_runner.h"
 #include "rate/rapid_sample.h"
 #include "rate/sample_rate.h"
 #include "rate/trace_runner.h"
-#include "sensors/hint_services.h"
-#include "sim/event_loop.h"
 
 using namespace sh;
 
@@ -40,46 +37,27 @@ int main() {
   config.seed = 7;
   const auto trace = channel::generate_trace(config);
 
-  // Receiver-side sensor stack: accelerometer -> jerk detector -> hint bus.
-  sim::EventLoop loop;
-  core::HintBus bus;
-  constexpr sim::NodeId kPhone = 1;
-  sensors::MovementHintService movement(
-      loop, bus, kPhone,
-      sensors::AccelerometerSim(shopping, util::Rng(99)));
-  movement.start();
-
-  std::vector<std::pair<Time, bool>> hint_timeline;
-  bus.subscribe(core::HintType::kMovement, [&](const core::Hint& h) {
-    hint_timeline.emplace_back(h.timestamp, h.as_bool());
-  });
-  loop.run_until(shopping.total_duration());
-
-  std::printf("Movement hints published by the phone:\n");
-  for (const auto& [when, moving] : hint_timeline) {
+  // Receiver-side sensor stack: accelerometer -> jerk detector.
+  constexpr std::uint64_t kPhoneSensorSeed = 99;
+  const auto detector = rate::run_detector(
+      shopping, shopping.total_duration(), kPhoneSensorSeed);
+  std::printf("Movement detector on the phone:\n");
+  for (const auto& [when, moving] : detector.transitions) {
     std::printf("  t = %5.2f s  ->  %s\n", to_seconds(when),
                 moving ? "MOVING" : "still");
   }
 
-  // Sender-side query: last hint received, one frame exchange behind.
-  auto hint_query = [&hint_timeline](Time t) {
-    bool moving = false;
-    for (const auto& [when, value] : hint_timeline) {
-      if (when + 20 * kMillisecond > t) break;
-      moving = value;
-    }
-    return moving;
-  };
-
-  rate::RunConfig run;
-  run.workload = rate::Workload::kTcp;
-  rate::HintAwareRateAdapter hint_aware(hint_query, util::Rng(42));
+  // Sender side: the hint-aware adapter learns the phone's hint from
+  // delivered frames only; the fixed strategies ignore it.
+  rate::HintedRunConfig hinted;
+  hinted.run.workload = rate::Workload::kTcp;
+  hinted.sensor_seed = kPhoneSensorSeed;
+  const auto hint_result =
+      rate::run_trace_with_hint_protocol(trace, shopping, hinted).run;
   rate::SampleRateAdapter sample_rate;
   rate::RapidSample rapid_sample;
-
-  const auto hint_result = rate::run_trace(hint_aware, trace, run);
-  const auto sample_result = rate::run_trace(sample_rate, trace, run);
-  const auto rapid_result = rate::run_trace(rapid_sample, trace, run);
+  const auto sample_result = rate::run_trace(sample_rate, trace, hinted.run);
+  const auto rapid_result = rate::run_trace(rapid_sample, trace, hinted.run);
 
   std::printf("\nStream throughput over the %0.0f s trip:\n",
               to_seconds(shopping.total_duration()));

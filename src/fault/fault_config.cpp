@@ -1,27 +1,65 @@
 #include "fault/fault_config.h"
 
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 
 namespace sh::fault {
 namespace {
 
-std::string fmt_rate(double v) {
+/// The values a field admits.
+struct Range {
+  double lo;
+  double hi;
+  const char* text;
+};
+constexpr double kMax = std::numeric_limits<double>::max();
+constexpr Range kProbability{0.0, 1.0, "[0, 1]"};
+constexpr Range kNonNegative{0.0, kMax, "[0, inf)"};
+constexpr Range kSigned{-kMax, kMax, "(-inf, inf)"};
+
+/// Calls fn(key, range, field of each config) for every field, in key
+/// order. A field is a double (rates, sigma, ppm) or a Duration, whose key
+/// is in milliseconds.
+template <class Fn, class... Config>
+void for_each_field(Fn&& fn, Config&... c) {
+  fn("sensor_dropout_rate", kProbability, c.sensor.dropout_rate...);
+  fn("sensor_stuck_rate", kProbability, c.sensor.stuck_rate...);
+  fn("sensor_stuck_ms", kNonNegative, c.sensor.stuck_duration...);
+  fn("sensor_noise_rate", kProbability, c.sensor.noise_rate...);
+  fn("sensor_noise_ms", kNonNegative, c.sensor.noise_duration...);
+  fn("sensor_noise_sigma", kNonNegative, c.sensor.noise_sigma...);
+  fn("hint_drop_rate", kProbability, c.hint.drop_rate...);
+  fn("hint_reorder_rate", kProbability, c.hint.reorder_rate...);
+  fn("hint_reorder_hold_ms", kNonNegative, c.hint.reorder_hold...);
+  fn("hint_delay_ms", kNonNegative, c.hint.delay_mean...);
+  fn("hint_jitter_ms", kNonNegative, c.hint.delay_jitter...);
+  fn("hint_staleness_ms", kNonNegative, c.hint.extra_staleness...);
+  fn("clock_offset_ms", kSigned, c.clock.offset...);
+  fn("clock_drift_ppm", kSigned, c.clock.drift_ppm...);
+}
+
+double in_key_unit(double v) { return v; }
+double in_key_unit(Duration d) { return to_milliseconds(d); }
+
+void assign(double& field, double v) { field = v; }
+void assign(Duration& field, double ms) {
+  field = static_cast<Duration>(ms * kMillisecond);
+}
+
+std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
 
-std::string fmt_ms(Duration d) {
-  return fmt_rate(to_milliseconds(d));
-}
-
 }  // namespace
 
 bool FaultConfig::hint_null() const noexcept {
-  return hint.drop_rate == 0.0 && hint.duplicate_rate == 0.0 &&
-         hint.reorder_rate == 0.0 && hint.delay_mean == 0 &&
-         hint.delay_jitter == 0 && hint.extra_staleness == 0 &&
-         clock.offset == 0 && clock.drift_ppm == 0.0;
+  return hint.drop_rate == 0.0 && hint.reorder_rate == 0.0 &&
+         hint.delay_mean == 0 && hint.delay_jitter == 0 &&
+         hint.extra_staleness == 0 && clock.offset == 0 &&
+         clock.drift_ppm == 0.0;
 }
 
 bool FaultConfig::is_null() const noexcept {
@@ -32,45 +70,30 @@ bool FaultConfig::is_null() const noexcept {
 std::vector<std::pair<std::string, std::string>> fault_params(
     const FaultConfig& config) {
   std::vector<std::pair<std::string, std::string>> out;
-  const auto rate = [&out](const char* key, double v) {
-    if (v != 0.0) out.emplace_back(key, fmt_rate(v));
-  };
-  const auto ms = [&out](const char* key, Duration d) {
-    if (d != 0) out.emplace_back(key, fmt_ms(d));
-  };
-  rate("sensor_dropout_rate", config.sensor.dropout_rate);
-  rate("sensor_stuck_rate", config.sensor.stuck_rate);
-  rate("sensor_noise_rate", config.sensor.noise_rate);
-  rate("hint_drop_rate", config.hint.drop_rate);
-  rate("hint_duplicate_rate", config.hint.duplicate_rate);
-  rate("hint_reorder_rate", config.hint.reorder_rate);
-  ms("hint_delay_ms", config.hint.delay_mean);
-  ms("hint_jitter_ms", config.hint.delay_jitter);
-  ms("hint_staleness_ms", config.hint.extra_staleness);
-  ms("clock_offset_ms", config.clock.offset);
-  rate("clock_drift_ppm", config.clock.drift_ppm);
+  const FaultConfig defaults{};
+  for_each_field(
+      [&out](const char* key, const Range&, const auto& value,
+             const auto& def) {
+        if (value != def) out.emplace_back(key, fmt(in_key_unit(value)));
+      },
+      config, defaults);
   return out;
 }
 
 bool set_fault_field(FaultConfig& config, std::string_view key, double value) {
-  const auto ms = [](double v) { return static_cast<Duration>(v * kMillisecond); };
-  if (key == "sensor_dropout_rate") config.sensor.dropout_rate = value;
-  else if (key == "sensor_stuck_rate") config.sensor.stuck_rate = value;
-  else if (key == "sensor_stuck_ms") config.sensor.stuck_duration = ms(value);
-  else if (key == "sensor_noise_rate") config.sensor.noise_rate = value;
-  else if (key == "sensor_noise_ms") config.sensor.noise_duration = ms(value);
-  else if (key == "sensor_noise_sigma") config.sensor.noise_sigma = value;
-  else if (key == "hint_drop_rate") config.hint.drop_rate = value;
-  else if (key == "hint_duplicate_rate") config.hint.duplicate_rate = value;
-  else if (key == "hint_reorder_rate") config.hint.reorder_rate = value;
-  else if (key == "hint_reorder_hold_ms") config.hint.reorder_hold = ms(value);
-  else if (key == "hint_delay_ms") config.hint.delay_mean = ms(value);
-  else if (key == "hint_jitter_ms") config.hint.delay_jitter = ms(value);
-  else if (key == "hint_staleness_ms") config.hint.extra_staleness = ms(value);
-  else if (key == "clock_offset_ms") config.clock.offset = ms(value);
-  else if (key == "clock_drift_ppm") config.clock.drift_ppm = value;
-  else return false;
-  return true;
+  bool known = false;
+  for_each_field(
+      [&](const char* name, const Range& range, auto& field) {
+        if (key != name) return;
+        known = true;
+        if (!(value >= range.lo && value <= range.hi)) {  // also rejects NaN
+          throw std::out_of_range(std::string(name) + "=" + fmt(value) +
+                                  " out of range " + range.text);
+        }
+        assign(field, value);
+      },
+      config);
+  return known;
 }
 
 }  // namespace sh::fault

@@ -39,8 +39,6 @@ struct SensorFaultConfig {
 struct HintFaultConfig {
   /// P(a hint update is dropped before delivery).
   double drop_rate = 0.0;
-  /// P(a delivered hint is delivered a second time, `reorder_hold` later).
-  double duplicate_rate = 0.0;
   /// P(a hint is held back by `reorder_hold`, letting successors overtake).
   double reorder_rate = 0.0;
   Duration reorder_hold = 200 * kMillisecond;
@@ -72,14 +70,19 @@ struct FaultConfig {
 };
 
 /// The config as ordered (key, value) pairs for sh.sweep.v1 JSON params and
-/// bench labels. Only non-default fields are emitted, so a null config adds
-/// nothing — sweep JSON stays byte-identical when faults are off.
+/// bench labels. Every field whose value differs from FaultConfig{}'s is
+/// emitted and no other, so a null config adds nothing — sweep JSON stays
+/// byte-identical when faults are off — and two configs that run
+/// differently never share params (nor a sweep's config hash).
 std::vector<std::pair<std::string, std::string>> fault_params(
     const FaultConfig& config);
 
 /// Sets one field by its JSON/CLI key (e.g. "sensor_dropout_rate" = 0.25,
-/// durations in milliseconds). Returns false for unknown keys. The key set
-/// is documented in DESIGN.md ("Fault model").
+/// durations in milliseconds). Returns false for unknown keys. Throws
+/// std::out_of_range, naming the key and its range, for a probability
+/// outside [0, 1] or a negative duration or noise sigma; clock_offset_ms
+/// and clock_drift_ppm are signed. The key set is documented in DESIGN.md
+/// ("Fault model").
 bool set_fault_field(FaultConfig& config, std::string_view key, double value);
 
 }  // namespace sh::fault

@@ -19,7 +19,6 @@ FaultPlan::FaultPlan(FaultConfig config, std::uint64_t seed)
       sensor_stuck_seed_(stream_seed(seed, Stream::kSensorStuck)),
       sensor_noise_seed_(stream_seed(seed, Stream::kSensorNoise)),
       hint_drop_seed_(stream_seed(seed, Stream::kHintDrop)),
-      hint_duplicate_seed_(stream_seed(seed, Stream::kHintDuplicate)),
       hint_reorder_seed_(stream_seed(seed, Stream::kHintReorder)) {}
 
 bool FaultPlan::sensor_report_dropped(std::uint64_t index) const noexcept {
@@ -48,11 +47,6 @@ double FaultPlan::sensor_noise(std::uint64_t index, int axis) const noexcept {
 bool FaultPlan::hint_dropped(std::uint64_t index) const noexcept {
   if (config_.hint.drop_rate <= 0.0) return false;
   return decide(hint_drop_seed_, index, config_.hint.drop_rate);
-}
-
-bool FaultPlan::hint_duplicated(std::uint64_t index) const noexcept {
-  if (config_.hint.duplicate_rate <= 0.0) return false;
-  return decide(hint_duplicate_seed_, index, config_.hint.duplicate_rate);
 }
 
 bool FaultPlan::hint_reordered(std::uint64_t index) const noexcept {

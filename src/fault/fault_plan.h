@@ -13,8 +13,8 @@
 //    (degradation measurements compare like against like).
 //
 // Episode faults (stuck-at, noise bursts) expose per-event *begin* decisions;
-// the sequential wrappers (FaultyAccelerometer, FaultyHintChannel) apply the
-// configured durations.
+// the sequential wrapper (FaultyAccelerometer) applies the configured
+// durations.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,6 @@ class FaultPlan {
     kSensorNoise = 0x5D03,
     kHintDrop = 0x4501,
     kHintDelay = 0x4502,
-    kHintDuplicate = 0x4503,
     kHintReorder = 0x4504,
   };
 
@@ -65,7 +64,6 @@ class FaultPlan {
 
   // Hint-delivery decisions (index = hint-update ordinal).
   bool hint_dropped(std::uint64_t index) const noexcept;
-  bool hint_duplicated(std::uint64_t index) const noexcept;
   bool hint_reordered(std::uint64_t index) const noexcept;
   /// Extra delivery latency (>= 0), excluding any reorder hold.
   Duration hint_delay(std::uint64_t index) const noexcept;
@@ -88,7 +86,6 @@ class FaultPlan {
   std::uint64_t sensor_stuck_seed_ = 0;
   std::uint64_t sensor_noise_seed_ = 0;
   std::uint64_t hint_drop_seed_ = 0;
-  std::uint64_t hint_duplicate_seed_ = 0;
   std::uint64_t hint_reorder_seed_ = 0;
 };
 

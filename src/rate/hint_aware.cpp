@@ -17,25 +17,6 @@ HintAwareRateAdapter::HintAwareRateAdapter(HintQuery query, util::Rng rng,
       rapid_(params.rapid),
       sample_rate_(params.sample_rate, rng) {}
 
-HintAwareRateAdapter::MovingQuery HintAwareRateAdapter::store_query(
-    const core::HintStore& store, sim::NodeId receiver, Duration max_age) {
-  return [&store, receiver, max_age](Time now) {
-    return store.is_moving(receiver, now, max_age, /*fallback=*/false);
-  };
-}
-
-HintAwareRateAdapter::HintQuery HintAwareRateAdapter::store_hint_query(
-    const core::HintStore& store, sim::NodeId receiver, Duration max_age) {
-  return HintQuery{
-      [&store, receiver, max_age](Time now) -> std::optional<bool> {
-        const auto age = store.age(receiver, core::HintType::kMovement, now);
-        if (!age || *age > max_age) return std::nullopt;
-        const auto hint = store.latest(receiver, core::HintType::kMovement);
-        if (!hint) return std::nullopt;
-        return hint->as_bool();
-      }};
-}
-
 RateAdapter& HintAwareRateAdapter::active() noexcept {
   if (mobile_mode_) return rapid_;
   return sample_rate_;

@@ -3,10 +3,11 @@
 // Runs SampleRate while the receiver is static and RapidSample while it is
 // mobile, switching on the receiver's movement hint (delivered over the Hint
 // Protocol; here abstracted as a query function so the harness can wire it
-// to a HintStore, to a simulated detector with realistic latency, or to
-// ground truth for oracle ablations). On each switch the newly activated
-// protocol is reset: the channel regime just changed, so history accumulated
-// under the other regime is not just useless but misleading.
+// to the receiver's detector as the sender learns it (the hinted runner), to
+// a faulty hint feed, or to ground truth for oracle ablations). On each
+// switch the newly activated protocol is reset: the channel regime just
+// changed, so history accumulated under the other regime is not just useless
+// but misleading.
 //
 // Graceful degradation: a HintQuery may answer nullopt — "I no longer know"
 // — when the hint feed is dead or stale. The adapter then holds its current
@@ -20,7 +21,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/hint_store.h"
 #include "rate/adapter.h"
 #include "rate/rapid_sample.h"
 #include "rate/sample_rate.h"
@@ -54,21 +54,6 @@ class HintAwareRateAdapter final : public RateAdapter {
   HintAwareRateAdapter(HintQuery query, util::Rng rng)
       : HintAwareRateAdapter(std::move(query), rng, Params{}) {}
   HintAwareRateAdapter(HintQuery query, util::Rng rng, Params params);
-
-  /// Convenience: wires the query to a HintStore entry for `receiver`,
-  /// treating hints older than `max_age` (or absent) as "static" — the
-  /// legacy-compatible default.
-  static MovingQuery store_query(const core::HintStore& store,
-                                 sim::NodeId receiver,
-                                 Duration max_age = 5 * kSecond);
-
-  /// Degradation-aware store wiring: answers nullopt once the store's
-  /// receive watermark for the receiver's movement hint is older than
-  /// `max_age` (or was never set), so a dead hint channel demotes the
-  /// adapter to its SampleRate baseline instead of freezing the last mode.
-  static HintQuery store_hint_query(const core::HintStore& store,
-                                    sim::NodeId receiver,
-                                    Duration max_age = 5 * kSecond);
 
   std::string_view name() const override { return "HintAware"; }
   void on_packet_start(Time now) override;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "channel/trace_cache.h"
-#include "fault/fault_plan.h"
 #include "fault/faulty_sensors.h"
 #include "mac/rates.h"
 #include "rate/hint_aware.h"
@@ -40,10 +39,8 @@ std::string detector_key(const sim::MobilityScenario& scenario,
   return key;
 }
 
-/// The receiver's accelerometer stepped through the movement detector up to
-/// `until`, behind the plan's sensor faults: dropped reports never reach the
-/// detector (a gap in the stream), stuck/noisy reports do and mislead it.
-/// With a null sensor config the stream is the plain simulator's.
+}  // namespace
+
 DetectorTimeline run_detector(const sim::MobilityScenario& scenario,
                               Duration until, std::uint64_t seed,
                               const fault::FaultPlan& plan) {
@@ -65,8 +62,6 @@ DetectorTimeline run_detector(const sim::MobilityScenario& scenario,
   timeline.sensor_reports_dropped = accel.dropped();
   return timeline;
 }
-
-}  // namespace
 
 bool DetectorTimeline::value_at(Time t) const {
   bool value = false;

@@ -19,6 +19,7 @@
 
 #include "channel/trace.h"
 #include "fault/fault_config.h"
+#include "fault/fault_plan.h"
 #include "rate/trace_runner.h"
 #include "sim/mobility.h"
 #include "util/memo_cache.h"
@@ -70,6 +71,15 @@ struct DetectorTimeline {
 
   bool value_at(Time t) const;
 };
+
+/// The receiver's accelerometer stepped through the movement detector up to
+/// `until`, behind the plan's sensor faults: dropped reports never reach the
+/// detector (a gap in the stream), stuck/noisy reports do and mislead it.
+/// With a null sensor config the stream is the plain simulator's. `seed`
+/// seeds the accelerometer (HintedRunConfig::sensor_seed).
+DetectorTimeline run_detector(const sim::MobilityScenario& scenario,
+                              Duration until, std::uint64_t seed,
+                              const fault::FaultPlan& plan = {});
 
 /// The process-wide memo of detector timelines behind
 /// run_trace_with_hint_protocol. The detector is a pure function of the

@@ -8,7 +8,6 @@
 
 #include "ap/access_point.h"
 #include "ap/association.h"
-#include "ap/hint_gate.h"
 
 namespace sh::ap {
 namespace {
@@ -265,60 +264,6 @@ TEST(AccessPointTest, StaleHintStopsFavoringMobileClient) {
   const double static_share = ap.stats(1).meter.mbps(10 * kSecond);
   const double mobile_share = ap.stats(2).meter.mbps(10 * kSecond);
   EXPECT_LT(mobile_share, 1.2 * static_share);
-}
-
-// ---------------------------------------------------------------------------
-// HintFreshnessGate hysteresis
-
-TEST(HintGateTest, AllowsHintsWhileFresh) {
-  HintFreshnessGate gate;
-  for (Time t = 0; t < 10 * kSecond; t += 100 * kMillisecond) {
-    EXPECT_TRUE(gate.update(t, true));
-  }
-}
-
-TEST(HintGateTest, NeverFreshTripsImmediately) {
-  HintFreshnessGate gate;
-  EXPECT_FALSE(gate.update(0, false));
-  EXPECT_FALSE(gate.allowed());
-}
-
-TEST(HintGateTest, TripsOnlyAfterEngageWindow) {
-  HintFreshnessGate gate;  // engage_after = 1 s
-  EXPECT_TRUE(gate.update(0, true));
-  // Brief silence inside the window: still trusted.
-  EXPECT_TRUE(gate.update(500 * kMillisecond, false));
-  EXPECT_TRUE(gate.update(900 * kMillisecond, false));
-  // Past the window: tripped.
-  EXPECT_FALSE(gate.update(1100 * kMillisecond, false));
-}
-
-TEST(HintGateTest, ReArmsOnlyAfterSustainedFreshness) {
-  HintFreshnessGate gate;  // release_after = 3 s
-  gate.update(0, true);
-  gate.update(2 * kSecond, false);  // tripped (silent > 1 s)
-  ASSERT_FALSE(gate.allowed());
-  // Freshness returns, but the gate stays tripped until it lasts 3 s.
-  EXPECT_FALSE(gate.update(3 * kSecond, true));
-  EXPECT_FALSE(gate.update(5 * kSecond, true));
-  EXPECT_TRUE(gate.update(6 * kSecond, true));
-}
-
-TEST(HintGateTest, IntermittentFeedSettlesTrippedNotOscillating) {
-  // Fresh for 1 s, silent for 2 s, repeated: once tripped, the 1 s fresh
-  // bursts never satisfy release_after, so the gate must stay put instead
-  // of flapping policies on and off.
-  HintFreshnessGate gate;
-  int flips = 0;
-  bool last = true;
-  for (Time t = 0; t < 60 * kSecond; t += 250 * kMillisecond) {
-    const bool fresh = (t % (3 * kSecond)) < kSecond;
-    const bool allowed = gate.update(t, fresh);
-    if (allowed != last) ++flips;
-    last = allowed;
-  }
-  EXPECT_FALSE(last);     // settled on the baseline
-  EXPECT_LE(flips, 1);    // a single trip, no oscillation
 }
 
 // ---------------------------------------------------------------------------

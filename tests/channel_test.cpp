@@ -12,7 +12,7 @@
 
 #include "channel/environment.h"
 #include "channel/fading.h"
-#include "channel/gilbert_elliott.h"
+#include "gilbert_elliott.h"
 #include "channel/snr_model.h"
 #include "channel/trace.h"
 #include "channel/trace_generator.h"

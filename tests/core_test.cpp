@@ -1,13 +1,8 @@
-// Tests for the hint architecture: hint types, store, bus, wire protocol.
+// Tests for the hint architecture: hint types and the hint store.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "core/hint_bus.h"
-#include "core/hint_protocol.h"
 #include "core/hint_store.h"
 #include "core/hints.h"
-#include "util/rng.h"
 
 namespace sh::core {
 namespace {
@@ -178,221 +173,6 @@ TEST(HintStoreTest, WatermarkIsPerSourceAndType) {
   EXPECT_EQ(*store.last_update(1, HintType::kMovement), kSecond);
   EXPECT_EQ(*store.last_update(1, HintType::kHeading), 3 * kSecond);
   EXPECT_EQ(*store.last_update(2, HintType::kMovement), 2 * kSecond);
-}
-
-// ---------------------------------------------------------------------------
-// HintBus
-
-TEST(HintBusTest, SubscribersReceiveMatchingType) {
-  HintBus bus;
-  std::vector<Hint> received;
-  bus.subscribe(HintType::kMovement,
-                [&](const Hint& h) { received.push_back(h); });
-  bus.publish(Hint::movement(true, 1, 1));
-  bus.publish(Hint::heading(12.0, 2, 1));  // different type, not delivered
-  ASSERT_EQ(received.size(), 1U);
-  EXPECT_EQ(received[0].type, HintType::kMovement);
-}
-
-TEST(HintBusTest, SubscribeAllSeesEverything) {
-  HintBus bus;
-  int count = 0;
-  bus.subscribe_all([&](const Hint&) { ++count; });
-  bus.publish(Hint::movement(true, 1, 1));
-  bus.publish(Hint::heading(12.0, 2, 1));
-  bus.publish(Hint::speed(3.0, 3, 1));
-  EXPECT_EQ(count, 3);
-}
-
-TEST(HintBusTest, UnsubscribeStopsDelivery) {
-  HintBus bus;
-  int count = 0;
-  const auto id =
-      bus.subscribe(HintType::kMovement, [&](const Hint&) { ++count; });
-  bus.publish(Hint::movement(true, 1, 1));
-  bus.unsubscribe(id);
-  bus.publish(Hint::movement(false, 2, 1));
-  EXPECT_EQ(count, 1);
-}
-
-TEST(HintBusTest, StoreUpdatedBeforeCallbacks) {
-  HintBus bus;
-  bool seen_in_store = false;
-  bus.subscribe(HintType::kMovement, [&](const Hint& h) {
-    seen_in_store = bus.store().is_moving(h.source, h.timestamp, kSecond);
-  });
-  bus.publish(Hint::movement(true, 1, 5));
-  EXPECT_TRUE(seen_in_store);
-}
-
-TEST(HintBusTest, CallbackMaySubscribeDuringPublish) {
-  HintBus bus;
-  int late_count = 0;
-  bus.subscribe(HintType::kMovement, [&](const Hint&) {
-    bus.subscribe(HintType::kMovement, [&](const Hint&) { ++late_count; });
-  });
-  EXPECT_NO_FATAL_FAILURE(bus.publish(Hint::movement(true, 1, 1)));
-  bus.publish(Hint::movement(false, 2, 1));
-  EXPECT_GE(late_count, 1);
-}
-
-TEST(HintBusTest, CallbackMayUnsubscribeItself) {
-  HintBus bus;
-  int count = 0;
-  HintBus::SubscriptionId id = 0;
-  id = bus.subscribe(HintType::kMovement, [&](const Hint&) {
-    ++count;
-    bus.unsubscribe(id);
-  });
-  bus.publish(Hint::movement(true, 1, 1));
-  bus.publish(Hint::movement(false, 2, 1));
-  EXPECT_EQ(count, 1);
-}
-
-// ---------------------------------------------------------------------------
-// Hint protocol: movement bit
-
-TEST(HintProtocolTest, MovementBitRoundTrips) {
-  const std::uint8_t flags = 0x03;
-  const std::uint8_t with = set_movement_bit(flags, true);
-  EXPECT_TRUE(movement_bit(with));
-  EXPECT_EQ(with & 0x03, 0x03);  // other bits untouched
-  const std::uint8_t without = set_movement_bit(with, false);
-  EXPECT_FALSE(movement_bit(without));
-  EXPECT_EQ(without, flags);
-}
-
-// ---------------------------------------------------------------------------
-// Hint protocol: quantization
-
-TEST(HintProtocolTest, MovementQuantization) {
-  EXPECT_EQ(quantize_hint(HintType::kMovement, 1.0), 1);
-  EXPECT_EQ(quantize_hint(HintType::kMovement, 0.0), 0);
-  EXPECT_DOUBLE_EQ(dequantize_hint(HintType::kMovement, 1), 1.0);
-}
-
-TEST(HintProtocolTest, HeadingQuantizationErrorBounded) {
-  const double bound = quantization_error_bound(HintType::kHeading);
-  for (double heading = 0.0; heading < 360.0; heading += 0.7) {
-    const auto wire = quantize_hint(HintType::kHeading, heading);
-    const double back = dequantize_hint(HintType::kHeading, wire);
-    EXPECT_LE(heading_difference(heading, back), bound + 1e-9)
-        << "heading " << heading;
-  }
-}
-
-TEST(HintProtocolTest, HeadingWrapsAt360) {
-  // 359.9 quantizes to the bucket adjacent to 0, not to 255 * ... overflow.
-  const auto wire = quantize_hint(HintType::kHeading, 359.9);
-  const double back = dequantize_hint(HintType::kHeading, wire);
-  EXPECT_LE(heading_difference(359.9, back), 1.0);
-}
-
-TEST(HintProtocolTest, SpeedQuantizationHalfMeterSteps) {
-  EXPECT_DOUBLE_EQ(dequantize_hint(HintType::kSpeed,
-                                   quantize_hint(HintType::kSpeed, 1.5)),
-                   1.5);
-  EXPECT_NEAR(dequantize_hint(HintType::kSpeed,
-                              quantize_hint(HintType::kSpeed, 13.3)),
-              13.3, 0.25);
-}
-
-TEST(HintProtocolTest, SpeedSaturatesNotWraps) {
-  EXPECT_DOUBLE_EQ(dequantize_hint(HintType::kSpeed,
-                                   quantize_hint(HintType::kSpeed, 500.0)),
-                   127.5);
-  EXPECT_DOUBLE_EQ(dequantize_hint(HintType::kSpeed,
-                                   quantize_hint(HintType::kSpeed, -5.0)),
-                   0.0);
-}
-
-TEST(HintProtocolTest, PositionSaturates) {
-  EXPECT_DOUBLE_EQ(dequantize_hint(HintType::kPositionX,
-                                   quantize_hint(HintType::kPositionX, 300.0)),
-                   127.0);
-  EXPECT_DOUBLE_EQ(dequantize_hint(HintType::kPositionX,
-                                   quantize_hint(HintType::kPositionX, -300.0)),
-                   -127.0);
-}
-
-// ---------------------------------------------------------------------------
-// Hint protocol: block encode/decode
-
-TEST(HintBlockTest, EncodeDecodeRoundTrips) {
-  std::vector<Hint> hints{
-      Hint::movement(true, 0, 0),
-      Hint::heading(123.0, 0, 0),
-      Hint::speed(4.5, 0, 0),
-  };
-  const auto bytes = encode_hint_block(hints);
-  EXPECT_EQ(bytes.size(), hint_block_size(3));
-  const auto decoded = decode_hint_block(bytes, 999, 42);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 3U);
-  EXPECT_EQ((*decoded)[0].type, HintType::kMovement);
-  EXPECT_TRUE((*decoded)[0].as_bool());
-  EXPECT_NEAR((*decoded)[1].value, 123.0, 1.0);
-  EXPECT_NEAR((*decoded)[2].value, 4.5, 0.25);
-  for (const auto& hint : *decoded) {
-    EXPECT_EQ(hint.timestamp, 999);
-    EXPECT_EQ(hint.source, 42U);
-  }
-}
-
-TEST(HintBlockTest, EmptyBlockRoundTrips) {
-  const auto bytes = encode_hint_block({});
-  EXPECT_EQ(bytes.size(), 2U);
-  const auto decoded = decode_hint_block(bytes, 1, 1);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->empty());
-}
-
-TEST(HintBlockTest, DecodeRejectsBadMagic) {
-  const std::vector<Hint> one{Hint::movement(true, 0, 0)};
-  auto bytes = encode_hint_block(one);
-  bytes[0] ^= 0xFF;
-  EXPECT_FALSE(decode_hint_block(bytes, 1, 1).has_value());
-}
-
-TEST(HintBlockTest, DecodeRejectsTruncation) {
-  const std::vector<Hint> two{Hint::movement(true, 0, 0),
-                              Hint::heading(10.0, 0, 0)};
-  const auto bytes = encode_hint_block(two);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    const std::span<const std::uint8_t> prefix(bytes.data(), len);
-    EXPECT_FALSE(decode_hint_block(prefix, 1, 1).has_value())
-        << "prefix length " << len;
-  }
-}
-
-TEST(HintBlockTest, DecodeRejectsUnknownType) {
-  const std::vector<Hint> one{Hint::movement(true, 0, 0)};
-  auto bytes = encode_hint_block(one);
-  bytes[2] = 0xEE;  // invalid type code
-  EXPECT_FALSE(decode_hint_block(bytes, 1, 1).has_value());
-}
-
-TEST(HintBlockTest, DecodeIgnoresTrailingBytes) {
-  const std::vector<Hint> one{Hint::movement(true, 0, 0)};
-  auto bytes = encode_hint_block(one);
-  bytes.push_back(0xAB);  // piggybacked at end of frame; extra data follows
-  const auto decoded = decode_hint_block(bytes, 1, 1);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->size(), 1U);
-}
-
-TEST(HintBlockTest, FuzzDecodeNeverCrashes) {
-  util::Rng rng(71);
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<std::uint8_t> bytes(
-        static_cast<std::size_t>(rng.uniform_int(0, 32)));
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    // Must either decode cleanly or return nullopt; never crash or read OOB.
-    const auto result = decode_hint_block(bytes, 1, 1);
-    if (result.has_value()) {
-      EXPECT_LE(hint_block_size(result->size()), bytes.size() + 0U);
-    }
-  }
 }
 
 }  // namespace

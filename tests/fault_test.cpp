@@ -10,16 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
-#include "core/hint_bus.h"
 #include "exp/sweep.h"
 #include "fault/fault_clock.h"
 #include "fault/fault_config.h"
 #include "fault/fault_plan.h"
 #include "fault/faulty_sensors.h"
-#include "fault/hint_channel.h"
 #include "fault/movement_feed.h"
 #include "sensors/accelerometer.h"
 #include "sim/mobility.h"
@@ -34,7 +34,6 @@ FaultConfig all_faults_config() {
   cfg.sensor.stuck_rate = 0.05;
   cfg.sensor.noise_rate = 0.1;
   cfg.hint.drop_rate = 0.4;
-  cfg.hint.duplicate_rate = 0.2;
   cfg.hint.reorder_rate = 0.15;
   cfg.hint.delay_mean = 30 * kMillisecond;
   cfg.hint.delay_jitter = 10 * kMillisecond;
@@ -51,7 +50,6 @@ std::vector<double> schedule_digest(const FaultPlan& plan, std::uint64_t n) {
     out.push_back(plan.sensor_noise_begins(i) ? 1.0 : 0.0);
     out.push_back(plan.sensor_noise(i, 0));
     out.push_back(plan.hint_dropped(i) ? 1.0 : 0.0);
-    out.push_back(plan.hint_duplicated(i) ? 1.0 : 0.0);
     out.push_back(plan.hint_reordered(i) ? 1.0 : 0.0);
     out.push_back(static_cast<double>(plan.hint_delay(i)));
   }
@@ -107,8 +105,8 @@ TEST(FaultPlanTest, StreamsAreIndependent) {
   const int n = 1000;
   for (std::uint64_t i = 0; i < n; ++i) {
     auto drop = plan.event_rng(FaultPlan::Stream::kHintDrop, i);
-    auto dup = plan.event_rng(FaultPlan::Stream::kHintDuplicate, i);
-    if (drop.uniform() < 0.5 && dup.uniform() < 0.5) ++agreements;
+    auto reorder = plan.event_rng(FaultPlan::Stream::kHintReorder, i);
+    if (drop.uniform() < 0.5 && reorder.uniform() < 0.5) ++agreements;
   }
   // Independent fair draws agree ~25% of the time; identical streams 50%.
   EXPECT_GT(agreements, 180);
@@ -122,7 +120,6 @@ TEST(FaultPlanTest, ZeroRatesNeverFault) {
     EXPECT_FALSE(plan.sensor_stuck_begins(i));
     EXPECT_FALSE(plan.sensor_noise_begins(i));
     EXPECT_FALSE(plan.hint_dropped(i));
-    EXPECT_FALSE(plan.hint_duplicated(i));
     EXPECT_FALSE(plan.hint_reordered(i));
     EXPECT_EQ(plan.hint_delay(i), 0);
   }
@@ -163,7 +160,6 @@ TEST(FaultPlanTest, SingleDrawDecisionsEqualEventRngBernoulli) {
       cfg.sensor.stuck_rate = p;
       cfg.sensor.noise_rate = p;
       cfg.hint.drop_rate = p;
-      cfg.hint.duplicate_rate = p;
       cfg.hint.reorder_rate = p;
       const FaultPlan plan(cfg, seed);
       const auto ref = [&](Stream stream, std::uint64_t i) {
@@ -176,7 +172,6 @@ TEST(FaultPlanTest, SingleDrawDecisionsEqualEventRngBernoulli) {
             (plan.sensor_stuck_begins(i) != ref(Stream::kSensorStuck, i)) +
             (plan.sensor_noise_begins(i) != ref(Stream::kSensorNoise, i)) +
             (plan.hint_dropped(i) != ref(Stream::kHintDrop, i)) +
-            (plan.hint_duplicated(i) != ref(Stream::kHintDuplicate, i)) +
             (plan.hint_reordered(i) != ref(Stream::kHintReorder, i));
       }
       EXPECT_EQ(mismatches, 0U) << "seed " << seed << ", rate " << p;
@@ -297,108 +292,6 @@ TEST(FaultyAccelerometerTest, NoiseBurstPerturbsTheCleanStream) {
   // The first report starts a burst; every report restarts one.
   EXPECT_GT(perturbed, 290);
   EXPECT_GT(faulty.noisy(), 290U);
-}
-
-// ---------------------------------------------------------------------------
-// FaultyHintChannel.
-
-core::Hint movement_at(Time t, bool moving = true) {
-  return core::Hint::movement(moving, t, /*src=*/7);
-}
-
-TEST(FaultyHintChannelTest, NullConfigDeliversImmediately) {
-  core::HintBus bus;
-  FaultyHintChannel channel(bus, FaultPlan(FaultConfig{}, 55));
-  int received = 0;
-  bus.subscribe(core::HintType::kMovement, [&](const core::Hint&) {
-    ++received;
-  });
-  for (int i = 0; i < 10; ++i) {
-    channel.publish(movement_at(i * kSecond), i * kSecond);
-  }
-  EXPECT_EQ(received, 10);
-  EXPECT_EQ(channel.delivered(), 10U);
-  EXPECT_EQ(channel.pending(), 0U);
-}
-
-TEST(FaultyHintChannelTest, TotalDropDeliversNothing) {
-  FaultConfig cfg;
-  cfg.hint.drop_rate = 1.0;
-  core::HintBus bus;
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 1));
-  for (int i = 0; i < 50; ++i) {
-    channel.publish(movement_at(i * kMillisecond), i * kMillisecond);
-  }
-  channel.drain(kSecond);
-  channel.flush();
-  EXPECT_EQ(channel.dropped(), 50U);
-  EXPECT_EQ(channel.delivered(), 0U);
-  EXPECT_EQ(bus.store().size(), 0U);
-}
-
-TEST(FaultyHintChannelTest, DelayHoldsDeliveryUntilDue) {
-  FaultConfig cfg;
-  cfg.hint.delay_mean = 200 * kMillisecond;
-  core::HintBus bus;
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 2));
-  channel.publish(movement_at(0), 0);
-  EXPECT_EQ(channel.delivered(), 0U);
-  EXPECT_EQ(channel.pending(), 1U);
-  channel.drain(100 * kMillisecond);  // before due
-  EXPECT_EQ(channel.delivered(), 0U);
-  channel.drain(300 * kMillisecond);  // past due
-  EXPECT_EQ(channel.delivered(), 1U);
-  EXPECT_EQ(channel.pending(), 0U);
-}
-
-TEST(FaultyHintChannelTest, DuplicateDeliversTwice) {
-  FaultConfig cfg;
-  cfg.hint.duplicate_rate = 1.0;
-  core::HintBus bus;
-  int received = 0;
-  bus.subscribe(core::HintType::kMovement, [&](const core::Hint&) {
-    ++received;
-  });
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 3));
-  channel.publish(movement_at(0), 0);
-  channel.drain(10 * kSecond);
-  EXPECT_EQ(received, 2);
-  EXPECT_EQ(channel.duplicated(), 1U);
-}
-
-TEST(FaultyHintChannelTest, ExtraStalenessAgesDeliveredTimestamps) {
-  FaultConfig cfg;
-  cfg.hint.extra_staleness = 3 * kSecond;
-  cfg.hint.delay_mean = 1;  // force the queue path
-  core::HintBus bus;
-  std::vector<Time> stamps;
-  bus.subscribe(core::HintType::kMovement, [&](const core::Hint& h) {
-    stamps.push_back(h.timestamp);
-  });
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 4));
-  channel.publish(movement_at(10 * kSecond), 10 * kSecond);
-  channel.drain(20 * kSecond);
-  ASSERT_EQ(stamps.size(), 1U);
-  EXPECT_EQ(stamps[0], 10 * kSecond - 3 * kSecond);
-}
-
-TEST(FaultyHintChannelTest, ReorderedStragglerLosesToNewerHintInStore) {
-  // A hint held back by reordering arrives after its successor; the
-  // HintStore's newest-timestamp-wins rule must keep the successor's value.
-  FaultConfig cfg;
-  cfg.hint.reorder_rate = 1.0;  // every hint held back by reorder_hold
-  cfg.hint.reorder_hold = 500 * kMillisecond;
-  core::HintBus bus;
-  FaultyHintChannel channel(bus, FaultPlan(cfg, 6));
-  channel.publish(movement_at(0, true), 0);  // held until t = 500 ms
-  // Its successor skips the faulty channel and arrives right away.
-  bus.publish(movement_at(400 * kMillisecond, false));
-  channel.drain(kSecond);  // straggler finally delivered, out of order
-  EXPECT_EQ(channel.delivered(), 1U);
-  const auto latest = bus.store().latest(7, core::HintType::kMovement);
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_FALSE(latest->as_bool());
-  EXPECT_EQ(latest->timestamp, 400 * kMillisecond);
 }
 
 // ---------------------------------------------------------------------------
@@ -530,6 +423,68 @@ TEST(FaultConfigTest, SetFieldRoundTripsThroughParams) {
   EXPECT_EQ(params[1].first, "hint_drop_rate");
   EXPECT_EQ(params[2].first, "hint_staleness_ms");
   EXPECT_EQ(params[3].first, "clock_offset_ms");
+}
+
+TEST(FaultConfigTest, ParamsNameEveryFieldThatDiffersFromDefault) {
+  // Two configs that run differently must never share params: the reorder
+  // hold changes results, so it has to reach the JSON and the config hash.
+  FaultConfig short_hold;
+  ASSERT_TRUE(set_fault_field(short_hold, "hint_reorder_rate", 0.9));
+  FaultConfig long_hold = short_hold;
+  ASSERT_TRUE(set_fault_field(short_hold, "hint_reorder_hold_ms", 100));
+  ASSERT_TRUE(set_fault_field(long_hold, "hint_reorder_hold_ms", 3000));
+  EXPECT_NE(fault_params(short_hold), fault_params(long_hold));
+  const auto params = fault_params(long_hold);
+  ASSERT_EQ(params.size(), 2U);
+  EXPECT_EQ(params[1].first, "hint_reorder_hold_ms");
+  EXPECT_EQ(params[1].second, "3000");
+
+  // A duration set back to its default emits nothing.
+  FaultConfig at_default;
+  ASSERT_TRUE(set_fault_field(at_default, "sensor_stuck_ms", 200));
+  ASSERT_TRUE(set_fault_field(at_default, "sensor_noise_sigma", 4));
+  EXPECT_TRUE(fault_params(at_default).empty());
+
+  FaultConfig every;
+  for (const char* key :
+       {"sensor_dropout_rate", "sensor_stuck_rate", "sensor_stuck_ms",
+        "sensor_noise_rate", "sensor_noise_ms", "sensor_noise_sigma",
+        "hint_drop_rate", "hint_reorder_rate", "hint_reorder_hold_ms",
+        "hint_delay_ms", "hint_jitter_ms", "hint_staleness_ms",
+        "clock_offset_ms", "clock_drift_ppm"}) {
+    EXPECT_TRUE(set_fault_field(every, key, 0.5)) << key;
+  }
+  EXPECT_EQ(fault_params(every).size(), 14U);
+}
+
+TEST(FaultConfigTest, DuplicateRateIsNoLongerAField) {
+  FaultConfig cfg;
+  EXPECT_FALSE(set_fault_field(cfg, "hint_duplicate_rate", 0.1));
+  EXPECT_TRUE(cfg.is_null());
+}
+
+TEST(FaultConfigTest, ValuesThatMeanNothingAreRejected) {
+  FaultConfig cfg;
+  EXPECT_THROW(set_fault_field(cfg, "hint_drop_rate", -3), std::out_of_range);
+  EXPECT_THROW(set_fault_field(cfg, "hint_drop_rate", 7), std::out_of_range);
+  EXPECT_THROW(set_fault_field(cfg, "sensor_dropout_rate", 1.5),
+               std::out_of_range);
+  EXPECT_THROW(set_fault_field(cfg, "hint_delay_ms", -500), std::out_of_range);
+  EXPECT_THROW(set_fault_field(cfg, "sensor_noise_sigma", -1),
+               std::out_of_range);
+  EXPECT_THROW(set_fault_field(cfg, "sensor_stuck_rate", std::nan("")),
+               std::out_of_range);
+  EXPECT_TRUE(cfg.is_null());
+  EXPECT_TRUE(fault_params(cfg).empty());
+
+  // The bounds themselves are valid, and clock skew stays signed.
+  EXPECT_TRUE(set_fault_field(cfg, "hint_drop_rate", 1.0));
+  EXPECT_TRUE(set_fault_field(cfg, "sensor_dropout_rate", 0.0));
+  EXPECT_TRUE(set_fault_field(cfg, "hint_staleness_ms", 0));
+  EXPECT_TRUE(set_fault_field(cfg, "clock_offset_ms", -20));
+  EXPECT_TRUE(set_fault_field(cfg, "clock_drift_ppm", -50));
+  EXPECT_EQ(cfg.clock.offset, -20 * kMillisecond);
+  EXPECT_EQ(cfg.clock.drift_ppm, -50.0);
 }
 
 }  // namespace

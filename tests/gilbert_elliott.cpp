@@ -1,4 +1,4 @@
-#include "channel/gilbert_elliott.h"
+#include "gilbert_elliott.h"
 
 namespace sh::channel {
 

@@ -1,18 +1,16 @@
-// Cross-module integration tests: the full sensor -> detector -> hint bus ->
-// hint protocol -> protocol adaptation pipeline, end to end.
+// Cross-module integration tests: the receiver's accelerometer -> movement
+// detector -> hint carriage -> protocol adaptation pipeline, end to end, on
+// the production detector (rate::run_detector) and hint carriage
+// (rate::run_trace_with_hint_protocol).
 #include <gtest/gtest.h>
 
-#include <span>
+#include <sstream>
 
 #include "channel/trace_generator.h"
-#include "core/hint_bus.h"
-#include "core/hint_protocol.h"
-#include "rate/hint_aware.h"
-#include "rate/sample_rate.h"
+#include "rate/hinted_runner.h"
 #include "rate/rapid_sample.h"
+#include "rate/sample_rate.h"
 #include "rate/trace_runner.h"
-#include "sensors/hint_services.h"
-#include "sim/event_loop.h"
 #include "topo/adaptive_prober.h"
 #include "topo/probing_eval.h"
 #include "util/stats.h"
@@ -20,62 +18,18 @@
 namespace sh {
 namespace {
 
-constexpr sim::NodeId kReceiver = 42;
-
-/// Runs the full receiver-side stack over a scenario: accelerometer ->
-/// movement detector -> hint bus; returns the bus (with its store populated
-/// over time) by driving the event loop alongside a query log.
-struct ReceiverStack {
-  sim::EventLoop loop;
-  core::HintBus bus;
-  std::unique_ptr<sensors::MovementHintService> service;
-
-  explicit ReceiverStack(const sim::MobilityScenario& scenario,
-                         std::uint64_t seed = 7) {
-    service = std::make_unique<sensors::MovementHintService>(
-        loop, bus, kReceiver,
-        sensors::AccelerometerSim(scenario, util::Rng(seed)));
-    service->start();
-  }
-};
-
 TEST(IntegrationTest, SensorToHintStorePipeline) {
   const auto scenario = sim::MobilityScenario::static_then_walking(8 * kSecond);
-  ReceiverStack stack(scenario);
-
-  stack.loop.run_until(4 * kSecond);
-  EXPECT_FALSE(stack.bus.store().is_moving(kReceiver, stack.loop.now(),
-                                           10 * kSecond));
-  stack.loop.run_until(8 * kSecond);
-  EXPECT_TRUE(stack.bus.store().is_moving(kReceiver, stack.loop.now(),
-                                          10 * kSecond));
-}
-
-TEST(IntegrationTest, HintTravelsOverWireProtocol) {
-  // Receiver detects movement, encodes it into a hint block (as it would
-  // piggyback on a data frame); the sender decodes and updates its store.
-  const auto scenario = sim::MobilityScenario::all_walking(2 * kSecond);
-  ReceiverStack receiver(scenario);
-  receiver.loop.run_until(2 * kSecond);
-  ASSERT_TRUE(receiver.service->moving());
-
-  const core::Hint local = *receiver.bus.store().latest(
-      kReceiver, core::HintType::kMovement);
-  const auto wire = core::encode_hint_block({&local, 1});
-
-  core::HintStore sender_store;
-  const auto decoded =
-      core::decode_hint_block(wire, /*timestamp=*/receiver.loop.now(),
-                              /*source=*/kReceiver);
-  ASSERT_TRUE(decoded.has_value());
-  for (const auto& hint : *decoded) sender_store.update(hint);
-  EXPECT_TRUE(sender_store.is_moving(kReceiver, receiver.loop.now(), kSecond));
+  const auto detector = rate::run_detector(scenario, 8 * kSecond, 7);
+  EXPECT_FALSE(detector.value_at(4 * kSecond));
+  EXPECT_TRUE(detector.value_at(8 * kSecond));
 }
 
 TEST(IntegrationTest, FullStackHintAwareRateAdaptationOnMixedTrace) {
   // The complete Chapter 3 experiment in miniature: one mobility scenario
   // drives BOTH the channel and the receiver's accelerometer; the sender's
-  // HintAware adapter reacts to detector output (not ground truth) and must
+  // HintAware adapter reacts to detector output (not ground truth) that it
+  // learns only from delivered ACKs and standalone hint frames, and must
   // still beat both fixed strategies.
   util::RunningStats hint, rapid, sample;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
@@ -89,34 +43,15 @@ TEST(IntegrationTest, FullStackHintAwareRateAdaptationOnMixedTrace) {
     cfg.snr_offset_db = static_cast<double>(seed % 3) - 1.0;
     const auto trace = channel::generate_trace(cfg);
 
-    // Run the receiver's sensor stack over the same scenario and record the
-    // detector output as a timeline the sender-side query consults
-    // (emulating per-frame hint piggybacking with one extra frame of lag).
-    ReceiverStack stack(scenario, 900 + seed);
-    std::vector<std::pair<Time, bool>> timeline;
-    stack.bus.subscribe(core::HintType::kMovement,
-                        [&](const core::Hint& h) {
-                          timeline.emplace_back(h.timestamp, h.as_bool());
-                        });
-    stack.loop.run_until(20 * kSecond);
-
-    auto query = [&timeline](Time t) {
-      bool moving = false;
-      for (const auto& [when, value] : timeline) {
-        if (when + 20 * kMillisecond > t) break;  // propagation lag
-        moving = value;
-      }
-      return moving;
-    };
-
-    rate::RunConfig run;
-    run.workload = rate::Workload::kTcp;
-    rate::HintAwareRateAdapter ha(query, util::Rng(42));
-    hint.add(rate::run_trace(ha, trace, run).throughput_mbps);
+    rate::HintedRunConfig hinted;
+    hinted.run.workload = rate::Workload::kTcp;
+    hinted.sensor_seed = 900 + seed;
+    hint.add(rate::run_trace_with_hint_protocol(trace, scenario, hinted)
+                 .run.throughput_mbps);
     rate::RapidSample rs;
-    rapid.add(rate::run_trace(rs, trace, run).throughput_mbps);
+    rapid.add(rate::run_trace(rs, trace, hinted.run).throughput_mbps);
     rate::SampleRateAdapter sr;
-    sample.add(rate::run_trace(sr, trace, run).throughput_mbps);
+    sample.add(rate::run_trace(sr, trace, hinted.run).throughput_mbps);
   }
   EXPECT_GT(hint.mean(), rapid.mean());
   EXPECT_GT(hint.mean(), sample.mean());
@@ -135,21 +70,8 @@ TEST(IntegrationTest, DetectorDrivenAdaptiveProbing) {
   const auto series =
       topo::ProbeSeries::from_trace(channel::generate_trace(cfg), 0);
 
-  ReceiverStack stack(scenario, 11);
-  std::vector<std::pair<Time, bool>> timeline;
-  stack.bus.subscribe(core::HintType::kMovement,
-                      [&](const core::Hint& h) {
-                        timeline.emplace_back(h.timestamp, h.as_bool());
-                      });
-  stack.loop.run_until(60 * kSecond);
-  auto query = [&timeline](Time t) {
-    bool moving = false;
-    for (const auto& [when, value] : timeline) {
-      if (when > t) break;
-      moving = value;
-    }
-    return moving;
-  };
+  const auto detector = rate::run_detector(scenario, 60 * kSecond, 11);
+  auto query = [&detector](Time t) { return detector.value_at(t); };
 
   topo::AdaptiveProber prober(query);
   const auto adaptive = prober.schedule(series.duration());
@@ -196,16 +118,10 @@ TEST(IntegrationTest, DetectionLatencyIsSmallFractionOfPhase) {
   // The hint-aware scheme's gains rely on detection latency (<100 ms) being
   // tiny next to mobility phases (seconds). Verify the latency end to end.
   const auto scenario = sim::MobilityScenario::static_then_walking(10 * kSecond);
-  ReceiverStack stack(scenario, 13);
-  std::vector<std::pair<Time, bool>> timeline;
-  stack.bus.subscribe(core::HintType::kMovement,
-                      [&](const core::Hint& h) {
-                        timeline.emplace_back(h.timestamp, h.as_bool());
-                      });
-  stack.loop.run_until(10 * kSecond);
+  const auto detector = rate::run_detector(scenario, 10 * kSecond, 13);
 
   Time on_at = -1;
-  for (const auto& [when, moving] : timeline) {
+  for (const auto& [when, moving] : detector.transitions) {
     if (moving) {
       on_at = when;
       break;

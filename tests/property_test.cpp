@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "channel/fading.h"
-#include "channel/gilbert_elliott.h"
+#include "gilbert_elliott.h"
 #include "channel/snr_model.h"
 #include "channel/trace_generator.h"
 #include "mac/airtime.h"

@@ -734,15 +734,6 @@ TEST(HintAwareTest, SwitchesToRapidSampleOnMovement) {
   EXPECT_FALSE(hint.mobile_mode());
 }
 
-TEST(HintAwareTest, StoreQueryWiresToHintStore) {
-  core::HintStore store;
-  const auto query = HintAwareRateAdapter::store_query(store, 5);
-  EXPECT_FALSE(query(0));  // no hint yet: legacy fallback is "static"
-  store.update(core::Hint::movement(true, 0, 5));
-  EXPECT_TRUE(query(100));
-  EXPECT_FALSE(query(10 * kSecond));  // stale
-}
-
 TEST(HintAwareTest, ResetOnSwitchClearsMobileHistory) {
   bool moving = true;
   HintAwareRateAdapter hint([&moving](Time) { return moving; }, util::Rng(5));
@@ -830,20 +821,6 @@ TEST(HintAwareTest, DegradedAdapterRecoversWhenFeedReturns) {
   hint.pick_rate(kSecond);
   EXPECT_FALSE(hint.degraded());
   EXPECT_TRUE(hint.mobile_mode());
-}
-
-TEST(HintAwareTest, StoreHintQueryReportsIgnorance) {
-  core::HintStore store;
-  const auto query = HintAwareRateAdapter::store_hint_query(store, 5);
-  // Never updated: unlike store_query's legacy "static" fallback, the
-  // degradation-aware wiring admits it does not know.
-  EXPECT_FALSE(query.fn(0).has_value());
-  store.update(core::Hint::movement(true, kSecond, 5));
-  const auto fresh = query.fn(kSecond + kMillisecond);
-  ASSERT_TRUE(fresh.has_value());
-  EXPECT_TRUE(*fresh);
-  // Receive watermark ages past max_age (default 5 s): ignorance again.
-  EXPECT_FALSE(query.fn(7 * kSecond).has_value());
 }
 
 TEST(HintAwareTest, LegacyMovingQueryNeverDegrades) {

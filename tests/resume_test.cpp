@@ -186,6 +186,23 @@ TEST(ResumeGuardTest, ConfigHashMismatchIsFatal) {
   EXPECT_NE(resumed.output.find("config"), std::string::npos) << resumed.output;
 }
 
+TEST(ResumeGuardTest, FaultReorderHoldChangeIsFatal) {
+  // The reorder hold changes results, so it is part of the config hash.
+  const std::string journal = temp_path("hold.ckpt");
+  const std::string faults = " --fault hint_reorder_rate=0.9";
+  const auto killed = run_cmd(sweep_cmd() + grid_args(1, "on") + faults +
+                              " --fault hint_reorder_hold_ms=100" +
+                              " --checkpoint " + journal +
+                              " --kill-after-records 1");
+  ASSERT_TRUE(was_killed(killed));
+
+  const auto resumed = run_cmd(sweep_cmd() + grid_args(1, "on") + faults +
+                               " --fault hint_reorder_hold_ms=3000" +
+                               " --resume " + journal);
+  EXPECT_EQ(resumed.exit_code, 2);
+  EXPECT_NE(resumed.output.find("config"), std::string::npos) << resumed.output;
+}
+
 TEST(ResumeGuardTest, MissingJournalIsFatal) {
   const auto r = run_cmd(sweep_cmd() + grid_args(1, "on") + " --resume " +
                          temp_path("no_such.ckpt"));

@@ -4,17 +4,15 @@
 
 #include <cmath>
 
-#include "core/hint_bus.h"
+#include "core/hints.h"
 #include "sensors/accelerometer.h"
 #include "sensors/compass.h"
 #include "sensors/gps.h"
 #include "sensors/gyroscope.h"
 #include "sensors/heading_estimator.h"
-#include "sensors/hint_services.h"
 #include "sensors/movement_detector.h"
 #include "sensors/speed_estimator.h"
 #include "sensors/truth.h"
-#include "sim/event_loop.h"
 #include "util/stats.h"
 
 namespace sh::sensors {
@@ -370,52 +368,6 @@ TEST(SpeedEstimatorTest, IndoorEstimatePositiveAndBoundedWhenWalking) {
   for (int i = 0; i < 2000; ++i) estimator.update_accel(accel.next(), true);
   EXPECT_GT(estimator.speed_mps(), 0.0);
   EXPECT_LE(estimator.speed_mps(), 3.0);
-}
-
-// ---------------------------------------------------------------------------
-// Hint services on the event loop
-
-TEST(MovementHintServiceTest, PublishesTransitionsToBus) {
-  sim::EventLoop loop;
-  core::HintBus bus;
-  const sim::MobilityScenario scenario{{
-      {kSecond, sim::MotionState::kStatic, 0.0},
-      {kSecond, sim::MotionState::kWalking, 1.4},
-      {2 * kSecond, sim::MotionState::kStatic, 0.0},
-  }};
-  MovementHintService service(loop, bus, 7, make_accel(scenario, 45));
-  std::vector<core::Hint> published;
-  bus.subscribe(core::HintType::kMovement,
-                [&](const core::Hint& h) { published.push_back(h); });
-  service.start();
-  loop.run_until(4 * kSecond);
-
-  // Initial "not moving", then on, then off.
-  ASSERT_GE(published.size(), 3U);
-  EXPECT_FALSE(published[0].as_bool());
-  EXPECT_TRUE(published[1].as_bool());
-  EXPECT_FALSE(published[2].as_bool());
-  EXPECT_EQ(published[1].source, 7U);
-  // The "on" transition lands within ~100 ms of the actual start of motion.
-  EXPECT_NEAR(to_seconds(published[1].timestamp), 1.0, 0.15);
-  // Store reflects final state.
-  EXPECT_FALSE(bus.store().is_moving(7, loop.now(), 10 * kSecond));
-}
-
-TEST(HeadingHintServiceTest, PublishesHeadingNearTruth) {
-  sim::EventLoop loop;
-  core::HintBus bus;
-  const double true_heading = 135.0;
-  auto truth = truth_from_scenario(
-      sim::MobilityScenario::all_walking(10 * kSecond), true_heading);
-  HeadingHintService service(loop, bus, 9,
-                             CompassSim(truth, util::Rng(47)),
-                             GyroscopeSim(truth, util::Rng(49)));
-  service.start();
-  loop.run_until(10 * kSecond);
-  const auto hint = bus.store().latest(9, core::HintType::kHeading);
-  ASSERT_TRUE(hint.has_value());
-  EXPECT_LT(core::heading_difference(hint->value, true_heading), 15.0);
 }
 
 }  // namespace

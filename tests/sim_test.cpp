@@ -1,146 +1,10 @@
-// Tests for the discrete-event engine and mobility scenarios.
+// Tests for the mobility scenarios.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "sim/event_loop.h"
 #include "sim/mobility.h"
 
 namespace sh::sim {
 namespace {
-
-TEST(EventLoopTest, StartsAtTimeZero) {
-  EventLoop loop;
-  EXPECT_EQ(loop.now(), 0);
-  EXPECT_EQ(loop.pending(), 0U);
-}
-
-TEST(EventLoopTest, RunsEventsInTimeOrder) {
-  EventLoop loop;
-  std::vector<int> order;
-  loop.schedule_at(30, [&] { order.push_back(3); });
-  loop.schedule_at(10, [&] { order.push_back(1); });
-  loop.schedule_at(20, [&] { order.push_back(2); });
-  loop.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(loop.now(), 30);
-}
-
-TEST(EventLoopTest, TiesBreakByScheduleOrder) {
-  EventLoop loop;
-  std::vector<int> order;
-  loop.schedule_at(5, [&] { order.push_back(1); });
-  loop.schedule_at(5, [&] { order.push_back(2); });
-  loop.schedule_at(5, [&] { order.push_back(3); });
-  loop.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventLoopTest, ScheduleAfterUsesCurrentTime) {
-  EventLoop loop;
-  Time fired_at = -1;
-  loop.schedule_at(100, [&] {
-    loop.schedule_after(50, [&] { fired_at = loop.now(); });
-  });
-  loop.run();
-  EXPECT_EQ(fired_at, 150);
-}
-
-TEST(EventLoopTest, EventsCanScheduleMoreEvents) {
-  EventLoop loop;
-  int count = 0;
-  std::function<void()> tick = [&] {
-    if (++count < 5) loop.schedule_after(10, tick);
-  };
-  loop.schedule_after(10, tick);
-  loop.run();
-  EXPECT_EQ(count, 5);
-  EXPECT_EQ(loop.now(), 50);
-}
-
-TEST(EventLoopTest, RunUntilStopsAtBoundaryAndAdvancesClock) {
-  EventLoop loop;
-  int fired = 0;
-  loop.schedule_at(10, [&] { ++fired; });
-  loop.schedule_at(20, [&] { ++fired; });
-  loop.schedule_at(30, [&] { ++fired; });
-  loop.run_until(20);
-  EXPECT_EQ(fired, 2);  // events at exactly `until` still run
-  EXPECT_EQ(loop.now(), 20);
-  loop.run_until(25);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(loop.now(), 25);
-  loop.run();
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(EventLoopTest, CancelPreventsExecution) {
-  EventLoop loop;
-  bool ran = false;
-  const EventId id = loop.schedule_at(10, [&] { ran = true; });
-  EXPECT_TRUE(loop.cancel(id));
-  loop.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventLoopTest, CancelTwiceIsNoOp) {
-  EventLoop loop;
-  const EventId id = loop.schedule_at(10, [] {});
-  EXPECT_TRUE(loop.cancel(id));
-  EXPECT_FALSE(loop.cancel(id));
-}
-
-TEST(EventLoopTest, CancelInvalidIdIsNoOp) {
-  EventLoop loop;
-  EXPECT_FALSE(loop.cancel(EventId{}));
-}
-
-TEST(EventLoopTest, CancelOneOfSeveral) {
-  EventLoop loop;
-  std::vector<int> order;
-  loop.schedule_at(10, [&] { order.push_back(1); });
-  const EventId id = loop.schedule_at(20, [&] { order.push_back(2); });
-  loop.schedule_at(30, [&] { order.push_back(3); });
-  loop.cancel(id);
-  loop.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventLoopTest, PendingCountExcludesCancelled) {
-  EventLoop loop;
-  loop.schedule_at(10, [] {});
-  const EventId id = loop.schedule_at(20, [] {});
-  EXPECT_EQ(loop.pending(), 2U);
-  loop.cancel(id);
-  EXPECT_EQ(loop.pending(), 1U);
-}
-
-TEST(EventLoopTest, ResetClearsEverything) {
-  EventLoop loop;
-  bool ran = false;
-  loop.schedule_at(10, [&] { ran = true; });
-  loop.reset();
-  EXPECT_EQ(loop.pending(), 0U);
-  loop.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(loop.now(), 0);
-}
-
-TEST(EventLoopTest, DeterministicAcrossRuns) {
-  auto run_once = [] {
-    EventLoop loop;
-    std::vector<int> order;
-    for (int i = 0; i < 50; ++i) {
-      loop.schedule_at((i * 37) % 100, [&order, i] { order.push_back(i); });
-    }
-    loop.run();
-    return order;
-  };
-  EXPECT_EQ(run_once(), run_once());
-}
-
-// ---------------------------------------------------------------------------
-// MobilityScenario
 
 TEST(MobilityScenarioTest, AllStatic) {
   const auto s = MobilityScenario::all_static(10 * kSecond);

@@ -1,5 +1,5 @@
 // Tests for topology maintenance: probe series, probing-rate evaluation,
-// adaptive probing schedules, ETX.
+// adaptive probing schedules.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 
 #include "channel/trace_generator.h"
 #include "topo/adaptive_prober.h"
-#include "topo/etx.h"
 #include "topo/probe_series.h"
 #include "topo/probing_eval.h"
 #include "util/stats.h"
@@ -352,43 +351,6 @@ TEST(AdaptiveProberTest, AdaptiveTracksAsWellAsFastOnMixedTrace) {
   EXPECT_LT(adaptive_error, slow_error);
   EXPECT_LT(adaptive_schedule.size(),
             fixed_probe_schedule(series.duration(), 10.0).size() * 7 / 10);
-}
-
-// ---------------------------------------------------------------------------
-// ETX
-
-TEST(EtxTest, PerfectLinkIsOneTransmission) {
-  EXPECT_DOUBLE_EQ(etx(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(etx(1.0, 1.0), 1.0);
-}
-
-TEST(EtxTest, HalfDeliveryDoublesTransmissions) {
-  EXPECT_DOUBLE_EQ(etx(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(etx(0.5, 0.5), 4.0);
-}
-
-TEST(EtxTest, DeadLinkIsHugeNotInfinite) {
-  EXPECT_GT(etx(0.0), 1e5);
-  EXPECT_TRUE(std::isfinite(etx(0.0)));
-}
-
-TEST(EtxTest, PaperWorkedExample) {
-  // §4.2: p1 = 0.8, p2 = 0.6, delta = 0.25 -> wrong pick possible,
-  // overhead = 0.8/0.6 - 1 = 1/3; penalty = 1/0.6 - 1/0.8 = 5/12.
-  const auto analysis = misrank_analysis(0.8, 0.6, 0.25);
-  EXPECT_TRUE(analysis.wrong_pick_possible);
-  EXPECT_NEAR(analysis.penalty, 5.0 / 12.0, 1e-9);
-  EXPECT_NEAR(analysis.overhead, 1.0 / 3.0, 1e-9);
-}
-
-TEST(EtxTest, SmallErrorCannotMisrankWellSeparatedLinks) {
-  const auto analysis = misrank_analysis(0.9, 0.4, 0.05);
-  EXPECT_FALSE(analysis.wrong_pick_possible);
-}
-
-TEST(EtxTest, OverheadGrowsAsLinksDiverge) {
-  EXPECT_LT(misrank_analysis(0.8, 0.7, 0.25).overhead,
-            misrank_analysis(0.8, 0.4, 0.25).overhead);
 }
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -254,7 +255,13 @@ Options parse(int argc, char** argv) {
       const std::string key(v, eq);
       const double val =
           cli::parse_double(kTool, "--fault", eq + 1, -1e12, 1e12);
-      if (!fault::set_fault_field(o.fault, key, val)) {
+      bool known = false;
+      try {
+        known = fault::set_fault_field(o.fault, key, val);
+      } catch (const std::out_of_range& e) {
+        cli::fail(kTool, std::string("--fault: ") + e.what());
+      }
+      if (!known) {
         cli::fail(kTool, "--fault: unknown key '" + key +
                              "' (see DESIGN.md \"Fault model\")");
       }
