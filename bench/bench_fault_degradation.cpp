@@ -11,7 +11,10 @@
 //
 // Runs on the exp::SweepRunner engine; every fault decision derives from
 // exp::RunContext::fault_seed, so the printed numbers are identical at any
-// --threads value.
+// --threads value. Only HintAware hears the fault config: the trace, the
+// five hint-free protocols and the baseline depend on (mobility,
+// repetition) alone, so the sweep computes them once per pair and shares
+// them across its ten fault cells.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -20,6 +23,7 @@
 
 #include "bench_cli.h"
 #include "experiment_config.h"
+#include "util/memo_cache.h"
 
 using namespace sh;
 using namespace sh::bench;
@@ -29,6 +33,13 @@ namespace {
 constexpr double kDropRates[] = {0.0, 0.25, 0.5, 0.75, 1.0};
 constexpr double kStalenessMs[] = {0.0, 3000.0};
 constexpr Duration kHintMaxAge = 2 * kSecond;
+
+/// What one (mobility, repetition) pair replays without hints.
+struct HintFreeRun {
+  channel::PacketFateTrace trace;
+  rate::ProtocolThroughputs mbps;  ///< `hint` unset.
+  double baseline_mbps = 0.0;
+};
 
 std::string fmt_rate(double r) {
   char buf[16];
@@ -75,35 +86,50 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Holds every pair at once, so each is computed exactly once; concurrent
+  // cells of one pair wait for the first instead of repeating it.
+  util::MemoCache<HintFreeRun> hint_free(2 * kTracesPerPoint);
   exp::SweepRunner runner({"fault_degradation", 77'000, opts.threads});
   const auto result = runner.run(
-      points, [&cells](const exp::SweepPoint&, const exp::RunContext& ctx) {
+      points, [&cells, &hint_free](const exp::SweepPoint&,
+                                   const exp::RunContext& ctx) {
         const Cell& cell = cells[ctx.point_index];
-        channel::TraceGeneratorConfig cfg;
-        cfg.env = channel::Environment::kOffice;
-        cfg.scenario = cell.mobile
-                           ? sim::MobilityScenario::all_walking(20 * kSecond)
-                           : sim::MobilityScenario::all_static(20 * kSecond);
-        // Repetition-derived trace seeds: every fault level replays the SAME
-        // traces, so the drop-rate axis is a paired comparison and the
-        // monotonicity check is not washed out by trace-to-trace variance.
-        cfg.seed = 77'000 + static_cast<std::uint64_t>(ctx.repetition) * 17;
-        cfg.snr_offset_db = placement_offset_db(ctx.repetition);
-        const auto trace = channel::generate_trace(cfg);
         rate::RunConfig run;
         run.workload = rate::Workload::kTcp;
+        std::string key(1, cell.mobile ? 'm' : 's');
+        util::append_key_i64(key, ctx.repetition);
+        const auto shared = hint_free.get_or_compute(key, [&] {
+          channel::TraceGeneratorConfig cfg;
+          cfg.env = channel::Environment::kOffice;
+          cfg.scenario = cell.mobile
+                             ? sim::MobilityScenario::all_walking(20 * kSecond)
+                             : sim::MobilityScenario::all_static(20 * kSecond);
+          // Repetition-derived trace seeds: every fault level replays the
+          // SAME traces, so the drop-rate axis is a paired comparison and
+          // the monotonicity check is not washed out by trace-to-trace
+          // variance.
+          cfg.seed = 77'000 + static_cast<std::uint64_t>(ctx.repetition) * 17;
+          cfg.snr_offset_db = placement_offset_db(ctx.repetition);
+          HintFreeRun hf{channel::generate_trace(cfg), {}, 0.0};
+          hf.mbps = rate::run_hint_free_protocols(hf.trace, run);
+          // The degradation floor is default-parameter SampleRate — exactly
+          // what a HintAware adapter becomes once its feed dies (not the
+          // post-facto best-window variant reported as sample_mbps).
+          rate::SampleRateAdapter baseline;
+          hf.baseline_mbps =
+              rate::run_trace(baseline, hf.trace, run).throughput_mbps;
+          return hf;
+        });
         fault::FaultConfig fc;
         fc.hint.drop_rate = cell.drop_rate;
         fc.hint.extra_staleness = seconds(cell.staleness_ms / 1000.0);
-        exp::MetricSample sample = protocol_metrics(
-            trace, run,
-            faulty_truth_query(trace, fc, ctx.fault_seed, kHintMaxAge));
-        // The degradation floor is default-parameter SampleRate — exactly
-        // what a HintAware adapter becomes once its feed dies (not the
-        // post-facto best-window variant reported as sample_mbps).
-        rate::SampleRateAdapter baseline;
-        sample.set("baseline_mbps",
-                   rate::run_trace(baseline, trace, run).throughput_mbps);
+        rate::ProtocolThroughputs mbps = shared->mbps;
+        mbps.hint = rate::hint_aware_mbps(
+            shared->trace, run,
+            faulty_truth_query(shared->trace, fc, ctx.fault_seed,
+                               kHintMaxAge));
+        exp::MetricSample sample = protocol_metrics(mbps);
+        sample.set("baseline_mbps", shared->baseline_mbps);
         const double* hint = sample.find("hint_mbps");
         const double* base = sample.find("baseline_mbps");
         // A trace that delivers nothing under the baseline cannot be

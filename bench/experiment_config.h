@@ -109,14 +109,9 @@ struct ProtocolMeans {
   }
 };
 
-/// One repetition's throughput of every protocol (rate::run_paper_protocols)
-/// as sweep-engine metrics. `hint_query` is lagged_truth_query for the
-/// paper's setup or faulty_truth_query for a degraded hint path.
+/// One repetition's throughput of every protocol as sweep-engine metrics.
 inline exp::MetricSample protocol_metrics(
-    const channel::PacketFateTrace& trace, const rate::RunConfig& run,
-    rate::HintAwareRateAdapter::HintQuery hint_query) {
-  const auto mbps =
-      rate::run_paper_protocols(trace, run, std::move(hint_query));
+    const rate::ProtocolThroughputs& mbps) {
   exp::MetricSample sample;
   sample.set("hint_mbps", mbps.hint);
   sample.set("rapid_mbps", mbps.rapid);
@@ -125,6 +120,16 @@ inline exp::MetricSample protocol_metrics(
   sample.set("rbar_mbps", mbps.rbar);
   sample.set("charm_mbps", mbps.charm);
   return sample;
+}
+
+/// rate::run_paper_protocols on `trace` as sweep-engine metrics.
+/// `hint_query` is lagged_truth_query for the paper's setup or
+/// faulty_truth_query for a degraded hint path.
+inline exp::MetricSample protocol_metrics(
+    const channel::PacketFateTrace& trace, const rate::RunConfig& run,
+    rate::HintAwareRateAdapter::HintQuery hint_query) {
+  return protocol_metrics(
+      rate::run_paper_protocols(trace, run, std::move(hint_query)));
 }
 
 }  // namespace sh::bench

@@ -21,7 +21,6 @@
 #include <map>
 #include <vector>
 
-#include "core/hint_store.h"
 #include "mac/airtime.h"
 #include "mac/rates.h"
 #include "sim/ids.h"

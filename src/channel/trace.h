@@ -63,6 +63,11 @@ class PacketFateTrace {
 
   const TraceSlot& slot(std::size_t i) const { return slots_.at(i); }
 
+  /// Bytes the trace holds: the object plus its slot storage.
+  std::size_t footprint_bytes() const noexcept {
+    return sizeof(*this) + slots_.capacity() * sizeof(TraceSlot);
+  }
+
   /// Slot index covering time `t`; clamped to the last slot for t past the
   /// end so replay of a slightly-overrunning experiment stays defined.
   std::size_t slot_index(Time t) const noexcept {

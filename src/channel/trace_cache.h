@@ -13,9 +13,12 @@
 // generator runs. Eviction policy is deterministic given the sequence of
 // insertions (FIFO by first insertion); under a thread pool the insertion
 // order may vary with scheduling, which affects only which configs get
-// regenerated, never their contents.
+// regenerated, never their contents. The cache is bounded both by entry
+// count and by resident bytes, so long traces cannot pin memory in
+// proportion to their length.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,13 +43,18 @@ void append_scenario_key(std::string& key,
 
 /// Bounded, thread-safe trace cache: util::MemoCache keyed by
 /// trace_config_key. Concurrent get_or_generate calls for the same config
-/// generate the trace once.
+/// generate the trace once. A trace is charged its footprint_bytes().
 class TraceCache : public util::MemoCache<PacketFateTrace> {
  public:
   /// `capacity` is the maximum number of resident traces; 0 disables
   /// caching (get_or_generate degenerates to plain generate_trace).
-  explicit TraceCache(std::size_t capacity = kDefaultCapacity)
-      : MemoCache(capacity) {}
+  /// `byte_budget` bounds their resident footprint; the trace that just
+  /// completed stays resident even when it alone exceeds it.
+  explicit TraceCache(std::size_t capacity = kDefaultCapacity,
+                      std::size_t byte_budget = kDefaultByteBudget)
+      : MemoCache(capacity, byte_budget, [](const PacketFateTrace& trace) {
+          return trace.footprint_bytes();
+        }) {}
 
   /// Returns the trace for `config`, generating it on first request.
   /// Exceptions from generate_trace (invalid config) propagate to every
@@ -55,6 +63,8 @@ class TraceCache : public util::MemoCache<PacketFateTrace> {
       const TraceGeneratorConfig& config);
 
   static constexpr std::size_t kDefaultCapacity = 64;
+  /// 4 MiB: fourteen 180 s traces, or all 64 of a sweep's 20 s ones.
+  static constexpr std::size_t kDefaultByteBudget = std::size_t{4} << 20;
 };
 
 /// The process-wide cache behind generate_trace_cached.

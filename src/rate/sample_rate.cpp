@@ -26,6 +26,8 @@ SampleRateAdapter::SampleRateAdapter(Params params, util::Rng rng)
         mac::attempt_duration(r, params_.payload_bytes, /*retry=*/0));
   }
   avg_us_.fill(kNoSuccess);
+  best_avg_ = kNoSuccess;
+  sample_countdown_ = params_.sample_every;
 }
 
 double SampleRateAdapter::window_tx_time_us(std::size_t r) const {
@@ -48,9 +50,31 @@ void SampleRateAdapter::prune(Time now) {
     if (stats.attempts == 0) stats.consecutive_failures = 0;
     dirty_ |= 1U << r;
   }
+  // Keep best_ the argmin of avg_us_ (lowest rate on a tie) as each
+  // refreshed average lands: a non-best rate takes over iff it now beats
+  // the best, and only a rise of the best's own average needs a rescan.
+  bool rescan = false;
   for (; dirty_ != 0; dirty_ &= dirty_ - 1) {
-    const auto r = static_cast<std::size_t>(std::countr_zero(dirty_));
-    avg_us_[r] = window_tx_time_us(r);
+    const int r = std::countr_zero(dirty_);
+    const double avg = window_tx_time_us(static_cast<std::size_t>(r));
+    avg_us_[static_cast<std::size_t>(r)] = avg;
+    if (r == best_) {
+      rescan |= avg > best_avg_;
+      best_avg_ = avg;
+    } else if (avg < best_avg_ || (avg == best_avg_ && r < best_)) {
+      best_ = r;
+      best_avg_ = avg;
+    }
+  }
+  if (!rescan) return;
+  best_ = -1;
+  best_avg_ = kNoSuccess;
+  for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
+    const double t = avg_us_[static_cast<std::size_t>(r)];
+    if (t < best_avg_) {
+      best_avg_ = t;
+      best_ = r;
+    }
   }
 }
 
@@ -61,16 +85,7 @@ mac::RateIndex SampleRateAdapter::best_rate(Time now) {
   // sampling slots, not adopted blindly (adopting them would make the
   // protocol thrash between stale rates every time the window slides past
   // their last sample).
-  mac::RateIndex best = -1;
-  double best_time = kNoSuccess;
-  for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
-    const double t = avg_us_[static_cast<std::size_t>(r)];
-    if (t < best_time) {
-      best_time = t;
-      best = r;
-    }
-  }
-  if (best >= 0) return best;
+  if (best_ >= 0) return best_;
   // No success anywhere in the window: descend the ladder — the fastest
   // rate that has not accumulated the failure limit (Bicket's "try the
   // highest rate that hasn't failed four successive times").
@@ -91,8 +106,8 @@ mac::RateIndex SampleRateAdapter::pick_rate(Time now) {
   // retries land inside the same fade — the "oversampling the same bit
   // rate" cost RapidSample is designed to avoid (paper §3.1).
   if (chain_failures_ > 0) return best;
-  ++packet_counter_;
-  if (packet_counter_ % params_.sample_every != 0) return best;
+  if (--sample_countdown_ != 0) return best;
+  sample_countdown_ = params_.sample_every;
 
   // Sampling slot: consider rates other than the best whose lossless time is
   // below the best's average (i.e. that could possibly beat it) and that are
@@ -155,7 +170,9 @@ void SampleRateAdapter::reset() {
   records_.clear();
   head_ = 0;
   dirty_ = 0;
-  packet_counter_ = 0;
+  best_ = -1;
+  best_avg_ = kNoSuccess;
+  sample_countdown_ = params_.sample_every;
   chain_failures_ = 0;
 }
 

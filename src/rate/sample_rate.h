@@ -80,7 +80,8 @@ class SampleRateAdapter final : public RateAdapter {
   };
 
   /// Expires the records older than the window at `now`, then refreshes the
-  /// average of every rate whose counters moved since the last prune.
+  /// average of every rate whose counters moved since the last prune, and
+  /// with them the best rate.
   void prune(Time now);
   /// Average airtime per delivered packet at `r` from its counters:
   /// lossless * attempts / successes, +inf without a success.
@@ -93,12 +94,16 @@ class SampleRateAdapter final : public RateAdapter {
   std::array<RateStats, mac::kNumRates> stats_{};
   /// window_tx_time_us(r), current as of the last prune.
   std::array<double, mac::kNumRates> avg_us_{};
+  /// The rate with the lowest avg_us_ (the lowest such rate on a tie) and
+  /// its average; -1 and +inf while no rate has a success in the window.
+  mac::RateIndex best_ = -1;
+  double best_avg_ = 0.0;
   /// The window: records_[head_..] in time order. The expired prefix is
   /// erased when the vector is full and the prefix is at least half of it.
   std::vector<Record> records_;
   std::size_t head_ = 0;
   unsigned dirty_ = 0;  ///< Bit r: rate r's counters moved since prune.
-  int packet_counter_ = 0;
+  int sample_countdown_ = 0;  ///< Packets until the next sampling slot.
   int chain_failures_ = 0;  ///< Failures within the current retry chain.
 };
 

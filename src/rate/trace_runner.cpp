@@ -33,9 +33,14 @@ double best_samplerate_mbps(const channel::PacketFateTrace& trace,
 ProtocolThroughputs run_paper_protocols(
     const channel::PacketFateTrace& trace, const RunConfig& run,
     HintAwareRateAdapter::HintQuery hint_query) {
+  ProtocolThroughputs mbps = run_hint_free_protocols(trace, run);
+  mbps.hint = hint_aware_mbps(trace, run, std::move(hint_query));
+  return mbps;
+}
+
+ProtocolThroughputs run_hint_free_protocols(
+    const channel::PacketFateTrace& trace, const RunConfig& run) {
   ProtocolThroughputs mbps;
-  HintAwareRateAdapter hint(std::move(hint_query), util::Rng(42));
-  mbps.hint = run_trace(hint, trace, run).throughput_mbps;
   RapidSample rapid;
   mbps.rapid = run_trace(rapid, trace, run).throughput_mbps;
   mbps.sample = best_samplerate_mbps(trace, run);
@@ -46,6 +51,13 @@ ProtocolThroughputs run_paper_protocols(
   Charm charm;
   mbps.charm = run_trace(charm, trace, run).throughput_mbps;
   return mbps;
+}
+
+double hint_aware_mbps(const channel::PacketFateTrace& trace,
+                       const RunConfig& run,
+                       HintAwareRateAdapter::HintQuery hint_query) {
+  HintAwareRateAdapter hint(std::move(hint_query), util::Rng(42));
+  return run_trace(hint, trace, run).throughput_mbps;
 }
 
 }  // namespace sh::rate

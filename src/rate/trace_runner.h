@@ -70,11 +70,22 @@ double best_samplerate_mbps(const channel::PacketFateTrace& trace,
                             const RunConfig& run);
 
 /// Runs HintAware, RapidSample, SampleRate (best window), RRAA, RBAR and
-/// CHARM on `trace`, in that order, each from a fresh adapter. `hint_query`
-/// drives HintAware only: the baselines take no hints, so with a degraded
-/// query the gap between `hint` and `sample` is the cost of the degradation.
+/// CHARM on `trace`, each from a fresh adapter. `hint_query` drives
+/// HintAware only: the baselines take no hints, so with a degraded query the
+/// gap between `hint` and `sample` is the cost of the degradation.
 ProtocolThroughputs run_paper_protocols(
     const channel::PacketFateTrace& trace, const RunConfig& run,
     HintAwareRateAdapter::HintQuery hint_query);
+
+/// run_paper_protocols without HintAware (`hint` stays 0): everything that
+/// does not depend on the hint query.
+ProtocolThroughputs run_hint_free_protocols(
+    const channel::PacketFateTrace& trace, const RunConfig& run);
+
+/// HintAware's throughput on `trace`, exactly as run_paper_protocols
+/// measures it.
+double hint_aware_mbps(const channel::PacketFateTrace& trace,
+                       const RunConfig& run,
+                       HintAwareRateAdapter::HintQuery hint_query);
 
 }  // namespace sh::rate

@@ -4,8 +4,9 @@
 // append_key_* helpers below serialize integers and doubles for it) and
 // passes the pure function that computes the value on a miss. Values are
 // handed out as shared_ptr<const> snapshots, which makes a hit safe to
-// consume from any pool worker. channel::TraceCache (generated traces) and
-// the hinted runner's detector cache are the two instantiations.
+// consume from any pool worker. channel::TraceCache (generated traces), the
+// hinted runner's detector cache and bench_fault_degradation's hint-free
+// replays are its instantiations.
 //
 // Determinism: a cached value equals a freshly computed one (same pure
 // function, same key), so hits, misses, and evictions can never change
@@ -13,13 +14,20 @@
 // by first insertion; under a thread pool the insertion order may vary with
 // scheduling, which affects only which keys get recomputed, never the
 // values.
+//
+// Two bounds hold the resident set: an entry count (enforced when a key is
+// inserted) and a byte budget (enforced when a value completes). A value's
+// footprint is charged under the lock once its computation returns; an
+// in-flight entry weighs 0 bytes because its size is not known yet.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <exception>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -59,16 +67,30 @@ template <class Value>
 class MemoCache {
  public:
   using Ptr = std::shared_ptr<const Value>;
+  /// Bytes a resident value holds; nullptr charges sizeof(Value).
+  using Footprint = std::size_t (*)(const Value&);
+
+  static constexpr std::size_t kNoByteBudget =
+      std::numeric_limits<std::size_t>::max();
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+    /// Footprint of the completed values now resident.
+    std::size_t resident_bytes = 0;
   };
 
   /// `capacity` is the maximum number of resident values; 0 disables
-  /// caching (get_or_compute degenerates to plain compute()).
-  explicit MemoCache(std::size_t capacity) : capacity_(capacity) {}
+  /// caching (get_or_compute degenerates to plain compute()). After a value
+  /// completes, the oldest completed entries are evicted while the resident
+  /// footprint exceeds `byte_budget`; the value that just completed is never
+  /// among them, so one value larger than the whole budget is still served
+  /// to the requests that follow it.
+  explicit MemoCache(std::size_t capacity,
+                     std::size_t byte_budget = kNoByteBudget,
+                     Footprint footprint = nullptr)
+      : capacity_(capacity), byte_budget_(byte_budget), footprint_(footprint) {}
 
   /// Returns the value for `key`, calling `compute()` (which returns a
   /// Value) on first request. Exceptions from compute() propagate to every
@@ -77,7 +99,7 @@ class MemoCache {
   Ptr get_or_compute(const std::string& key, Compute&& compute) {
     std::promise<Ptr> promise;
     std::shared_future<Ptr> future;
-    bool owner = false;
+    std::uint64_t serial = 0;  // Nonzero: this caller computes the value.
     bool bypass = false;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -90,33 +112,45 @@ class MemoCache {
           future = it->second.future;
         } else {
           ++stats_.misses;
-          owner = true;
+          serial = ++last_serial_;
           future = promise.get_future().share();
           order_.push_back(key);
-          entries_.emplace(key, Entry{future, std::prev(order_.end())});
+          entries_.emplace(key,
+                           Entry{future, std::prev(order_.end()), serial, 0});
           evict_to_capacity_locked();
         }
       }
     }
     if (bypass) return std::make_shared<const Value>(compute());
-    if (!owner) return future.get();  // Waits if still in flight.
+    if (serial == 0) return future.get();  // Waits if still in flight.
 
+    Ptr value;
     try {
-      auto value = std::make_shared<const Value>(compute());
-      promise.set_value(value);
-      return value;
+      value = std::make_shared<const Value>(compute());
     } catch (...) {
       promise.set_exception(std::current_exception());
       // Drop the poisoned entry so a later, fixed caller can retry; waiters
-      // already holding the future still see the exception.
+      // already holding the future still see the exception. It was never
+      // charged, so the resident bytes stay as they are.
       const std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = entries_.find(key);
+      const auto it = find_own_locked(key, serial);
       if (it != entries_.end()) {
         order_.erase(it->second.order_it);
         entries_.erase(it);
       }
       throw;
     }
+    promise.set_value(value);
+    const std::size_t bytes =
+        footprint_ != nullptr ? footprint_(*value) : sizeof(Value);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = find_own_locked(key, serial);
+    if (it != entries_.end()) {  // Not evicted or cleared meanwhile.
+      it->second.bytes = bytes;
+      stats_.resident_bytes += bytes;
+      evict_to_budget_locked(serial);
+    }
+    return value;
   }
 
   std::size_t capacity() const {
@@ -133,6 +167,7 @@ class MemoCache {
     if (capacity_ == 0) {
       entries_.clear();
       order_.clear();
+      stats_.resident_bytes = 0;
     }
   }
 
@@ -158,21 +193,52 @@ class MemoCache {
   struct Entry {
     std::shared_future<Ptr> future;
     std::list<std::string>::iterator order_it;
+    std::uint64_t serial;  ///< Tells this insertion from a later one.
+    std::size_t bytes;     ///< 0 while in flight.
   };
+  using EntryMap = std::map<std::string, Entry>;
+
+  /// The entry the caller holding `serial` inserted under `key`, or end()
+  /// once it has been evicted or cleared. Requires lock.
+  typename EntryMap::iterator find_own_locked(const std::string& key,
+                                              std::uint64_t serial) {
+    const auto it = entries_.find(key);
+    return it != entries_.end() && it->second.serial == serial ? it
+                                                               : entries_.end();
+  }
+
+  void evict_locked(typename EntryMap::iterator it) {
+    stats_.resident_bytes -= it->second.bytes;
+    order_.erase(it->second.order_it);
+    entries_.erase(it);
+    ++stats_.evictions;
+  }
 
   /// Pops insertion-order entries until size() <= capacity. Requires lock.
   void evict_to_capacity_locked() {
     while (entries_.size() > capacity_ && !order_.empty()) {
-      entries_.erase(order_.front());
-      order_.pop_front();
-      ++stats_.evictions;
+      evict_locked(entries_.find(order_.front()));
+    }
+  }
+
+  /// Evicts the oldest completed entries, except the one inserted as
+  /// `keep`, while the resident bytes exceed the budget. In-flight entries
+  /// weigh nothing, so evicting them could not help. Requires lock.
+  void evict_to_budget_locked(std::uint64_t keep) {
+    auto key = order_.begin();
+    while (stats_.resident_bytes > byte_budget_ && key != order_.end()) {
+      const auto it = entries_.find(*key++);
+      if (it->second.serial != keep && it->second.bytes > 0) evict_locked(it);
     }
   }
 
   mutable std::mutex mutex_;
   std::size_t capacity_;
-  std::map<std::string, Entry> entries_;
+  std::size_t byte_budget_;
+  Footprint footprint_;
+  EntryMap entries_;
   std::list<std::string> order_;  ///< FIFO eviction order (oldest first).
+  std::uint64_t last_serial_ = 0;
   Stats stats_;
 };
 

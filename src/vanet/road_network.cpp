@@ -34,7 +34,47 @@ std::size_t lattice_size(std::int64_t cols, std::int64_t rows,
   return static_cast<std::size_t>(cols * rows);
 }
 
+/// A coordinate's 1 m cell. Cells beyond the int32 range merge into the
+/// edge cell, which costs lookup time but never a match.
+std::int64_t cell_of(double v) {
+  constexpr double kEdge = 2147483647.0;
+  return static_cast<std::int64_t>(std::floor(std::clamp(v, -kEdge, kEdge)));
+}
+
+std::uint64_t cell_key(std::int64_t cx, std::int64_t cy) {
+  return (static_cast<std::uint64_t>(cx) << 32) ^
+         (static_cast<std::uint64_t>(cy) & 0xffffffffULL);
+}
+
 }  // namespace
+
+int PointMerger::find_or_add(const Vec2& pos) {
+  // distance() < 1 bounds each axis' gap below 1 m, so every match lies in
+  // one of the 3 x 3 cells around pos.
+  const std::int64_t cx = cell_of(pos.x);
+  const std::int64_t cy = cell_of(pos.y);
+  int found = -1;
+  for (std::int64_t x = cx - 1; x <= cx + 1; ++x) {
+    for (std::int64_t y = cy - 1; y <= cy + 1; ++y) {
+      const auto cell = newest_.find(cell_key(x, y));
+      if (cell == newest_.end()) continue;
+      for (int i = cell->second; i != -1;
+           i = next_[static_cast<std::size_t>(i)]) {
+        if ((found == -1 || i < found) &&
+            distance(points_[static_cast<std::size_t>(i)], pos) < 1.0) {
+          found = i;
+        }
+      }
+    }
+  }
+  if (found != -1) return found;
+  const int id = static_cast<int>(points_.size());
+  points_.push_back(pos);
+  const auto [cell, fresh] = newest_.try_emplace(cell_key(cx, cy), id);
+  next_.push_back(fresh ? -1 : cell->second);
+  cell->second = id;
+  return id;
+}
 
 double distance(const Vec2& a, const Vec2& b) noexcept {
   return std::hypot(a.x - b.x, a.y - b.y);
@@ -149,14 +189,7 @@ RoadNetwork RoadNetwork::chords_city(int num_roads, double size_m,
 
   RoadNetwork net;
   net.spacing_m_ = size_m / std::sqrt(static_cast<double>(num_roads));
-  auto node_at = [&net](const Vec2& pos) -> Intersection {
-    for (std::size_t i = 0; i < net.positions_.size(); ++i) {
-      if (distance(net.positions_[i], pos) < 1.0)
-        return static_cast<Intersection>(i);
-    }
-    net.positions_.push_back(pos);
-    return static_cast<Intersection>(net.positions_.size() - 1);
-  };
+  PointMerger nodes(net.positions_);
 
   // Per road: collect the endpoints plus every in-bounds crossing with the
   // other roads, ordered along the road, then chain them into edges.
@@ -184,7 +217,7 @@ RoadNetwork RoadNetwork::chords_city(int num_roads, double size_m,
     for (const double t : ts) {
       if (prev != -1 && t - prev_t < 20.0) continue;  // Merge near crossings.
       const Vec2 pos{a.point.x + t * a.dir.x, a.point.y + t * a.dir.y};
-      const Intersection node = node_at(pos);
+      const Intersection node = nodes.find_or_add(pos);
       if (prev != -1 && node != prev &&
           segments.insert(std::minmax(prev, node)).second) {
         appends.emplace_back(prev, node);

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,26 @@ double distance(const Vec2& a, const Vec2& b) noexcept;
 
 /// Heading of the direction a->b in degrees clockwise from north (+y).
 double heading_of(const Vec2& from, const Vec2& to) noexcept;
+
+/// Merges points closer than 1 m: find_or_add(pos) returns the index of the
+/// lowest-index stored point within 1 m of `pos` (distance() < 1.0), or
+/// appends `pos` and returns its index. Points are bucketed into 1 m cells,
+/// so a lookup reads only the 3 x 3 cells around `pos`. chords_city merges
+/// its road crossings through it.
+class PointMerger {
+ public:
+  /// Appends to `points`, which must outlive the merger and be empty.
+  explicit PointMerger(std::vector<Vec2>& points) : points_(points) {}
+
+  int find_or_add(const Vec2& pos);
+
+ private:
+  std::vector<Vec2>& points_;
+  /// Cell key -> the newest point in the cell; next_[i] is the point added
+  /// before i in i's cell, or -1.
+  std::unordered_map<std::uint64_t, int> newest_;
+  std::vector<int> next_;
+};
 
 /// Intersections and the roads between them. The adjacency is one flat CSR
 /// pair: node i's neighbors are targets_[offsets_[i], offsets_[i + 1]), in

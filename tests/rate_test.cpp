@@ -6,6 +6,7 @@
 #include <bit>
 #include <deque>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -429,9 +430,13 @@ class DequeSampleRate {
 // never picked, bare best_rate queries, idle gaps longer than any window,
 // repeated timestamps and the odd reset. On a `coarse` clock every step is
 // whole milliseconds, so records also land exactly one window before `now`.
+// With `tcp_stalls`, packets go out in back-to-back flights (steps of at
+// most 50 us) and the gaps are stalls shorter than the window, so each
+// flight later expires from the window as one burst.
 // Returns the number of comparisons.
 int compare_with_deque_oracle(Duration window, int sample_every, Time start,
-                              bool coarse, std::uint64_t seed) {
+                              bool coarse, std::uint64_t seed,
+                              bool tcp_stalls = false) {
   SampleRateAdapter::Params params;
   params.window = window;
   params.sample_every = sample_every;
@@ -467,7 +472,7 @@ int compare_with_deque_oracle(Duration window, int sample_every, Time start,
             drive.bernoulli(static_cast<double>(r) <= usable ? 0.9 : 0.1);
         fifo.on_result(t, r, acked);
         oracle.on_result(t, r, acked);
-        t += advance(0, 3 * kMillisecond);
+        t += advance(0, tcp_stalls ? 50 * kMicrosecond : 3 * kMillisecond);
         if (acked) break;
       }
     } else if (u < 0.90) {
@@ -481,7 +486,8 @@ int compare_with_deque_oracle(Duration window, int sample_every, Time start,
         return compared;
       }
     } else if (u < 0.995) {
-      t += advance(window / 2, window + window / 2);
+      t += tcp_stalls ? advance(window / 10, window)
+                      : advance(window / 2, window + window / 2);
     } else {
       fifo.reset();
       oracle.reset();
@@ -501,6 +507,113 @@ TEST(SampleRateTest, PackedWindowMatchesPerRateDeques) {
                                                 coarse, seed++);
           if (HasFailure()) return;
         }
+      }
+    }
+  }
+  EXPECT_GT(compared, 100000);
+}
+
+TEST(SampleRateTest, PackedWindowMatchesPerRateDequesAcrossTcpStalls) {
+  int compared = 0;
+  std::uint64_t seed = 1001;
+  for (const Duration window : {2 * kSecond, 10 * kSecond}) {
+    for (const int sample_every : {2, 10}) {
+      for (const bool coarse : {false, true}) {
+        compared += compare_with_deque_oracle(window, sample_every, Time{0},
+                                              coarse, seed++,
+                                              /*tcp_stalls=*/true);
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(compared, 30000);
+}
+
+// Tie-heavy streams: rates a < b get, in a shuffled order, exactly the
+// attempts that make their window averages equal as doubles (lossless_a *
+// n_a / s == lossless_b * n_b / s, s successes each), while every other
+// rate only fails. The record that completes the tie is, in turn, a
+// success or a failure of a or of b, so the tie arrives along each update
+// path: a non-best rate falling or rising onto the best's average, and the
+// best rising onto another's. The window then expires the whole stream in
+// bursts, breaking and re-forming the tie. Returns the comparisons made.
+int compare_tie_stream(mac::RateIndex a, mac::RateIndex b, int last_kind,
+                       std::uint64_t seed) {
+  SampleRateAdapter::Params params;
+  params.window = 10 * kSecond;
+  params.sample_every = 3;
+  SampleRateAdapter fifo(params, util::Rng(seed));
+  DequeSampleRate oracle(params, util::Rng(seed));
+  util::Rng drive(seed ^ 0x7135ULL);
+  const auto lossless = [&params](mac::RateIndex r) {
+    return mac::attempt_duration(r, params.payload_bytes, /*retry=*/0);
+  };
+  const std::int64_t g = std::gcd(lossless(a), lossless(b));
+  const std::int64_t n_a = lossless(b) / g;
+  const std::int64_t n_b = lossless(a) / g;
+  const std::int64_t s = drive.uniform_int(1, std::min(n_a, n_b) - 1);
+  // The tie holds in double arithmetic, exactly as the adapters compute it.
+  EXPECT_EQ(static_cast<double>(lossless(a)) * static_cast<double>(n_a) /
+                static_cast<double>(s),
+            static_cast<double>(lossless(b)) * static_cast<double>(n_b) /
+                static_cast<double>(s));
+
+  struct Outcome {
+    mac::RateIndex rate;
+    bool acked;
+  };
+  std::vector<Outcome> stream;
+  for (const auto& [r, n] : {std::pair{a, n_a}, std::pair{b, n_b}}) {
+    for (std::int64_t i = 0; i < n; ++i) stream.push_back({r, i < s});
+  }
+  for (mac::RateIndex r = mac::slowest_rate(); r <= mac::fastest_rate(); ++r) {
+    if (r != a && r != b) stream.push_back({r, false});
+  }
+  for (std::size_t i = stream.size() - 1; i > 0; --i) {
+    std::swap(stream[i], stream[static_cast<std::size_t>(drive.uniform_int(
+                             0, static_cast<std::int64_t>(i)))]);
+  }
+  // Move a record of the requested kind to the end.
+  const Outcome want{last_kind < 2 ? a : b, last_kind % 2 == 0};
+  const auto it = std::find_if(stream.begin(), stream.end(), [&](const auto& o) {
+    return o.rate == want.rate && o.acked == want.acked;
+  });
+  std::rotate(it, it + 1, stream.end());
+
+  int compared = 0;
+  const auto check = [&](Time t) {
+    compared += 2;
+    EXPECT_EQ(fifo.best_rate(t), oracle.best_rate(t)) << "best_rate at " << t;
+    fifo.on_packet_start(t);
+    oracle.on_packet_start(t);
+    EXPECT_EQ(fifo.pick_rate(t), oracle.pick_rate(t)) << "pick_rate at " << t;
+    return !::testing::Test::HasFailure();
+  };
+  Time t = 0;
+  for (const Outcome& o : stream) {
+    fifo.on_result(t, o.rate, o.acked);
+    oracle.on_result(t, o.rate, o.acked);
+    if (!check(t)) return compared;
+    t += drive.uniform_int(0, kMillisecond);
+  }
+  EXPECT_EQ(fifo.best_rate(t), a) << "the tie goes to the lower rate";
+  // Stall, then let the stream expire in bursts of up to half a second.
+  t += params.window - 2 * kSecond;
+  while (t < 2 * params.window) {
+    if (!check(t)) return compared;
+    t += drive.uniform_int(0, kSecond / 2);
+  }
+  return compared;
+}
+
+TEST(SampleRateTest, IncrementalBestMatchesDequesOnExactTies) {
+  int compared = 0;
+  std::uint64_t seed = 1;
+  for (mac::RateIndex a = mac::slowest_rate(); a < mac::fastest_rate(); ++a) {
+    for (mac::RateIndex b = a + 1; b <= mac::fastest_rate(); ++b) {
+      for (int last_kind = 0; last_kind < 4; ++last_kind) {
+        compared += compare_tie_stream(a, b, last_kind, seed++);
+        if (HasFailure()) return;
       }
     }
   }

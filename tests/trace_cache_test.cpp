@@ -1,10 +1,11 @@
 // Tests for the trace cache: key identity, hit/miss/eviction
-// accounting, in-flight deduplication, and — the property everything else
-// exists to protect — byte-identical sweep output with the cache on or off
-// at any thread count.
+// accounting, the byte budget, in-flight deduplication, and — the property
+// everything else exists to protect — byte-identical sweep output with the
+// cache on or off at any thread count and any budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "channel/trace_generator.h"
 #include "exp/sweep.h"
 #include "sim/mobility.h"
+#include "util/memo_cache.h"
 
 namespace sh::channel {
 namespace {
@@ -178,6 +180,146 @@ TEST(TraceCacheTest, ConcurrentMissesGenerateOnce) {
 }
 
 // ---------------------------------------------------------------------------
+// Byte budget. A string cache charged its length makes the arithmetic plain.
+
+using StringCache = util::MemoCache<std::string>;
+
+std::size_t string_bytes(const std::string& s) { return s.size(); }
+
+StringCache::Ptr put(StringCache& cache, const std::string& key,
+                     std::size_t bytes) {
+  return cache.get_or_compute(key, [bytes] { return std::string(bytes, 'x'); });
+}
+
+TEST(MemoCacheBudgetTest, EvictsOldestFirstByBytes) {
+  StringCache cache(64, 10, &string_bytes);
+  put(cache, "a", 4);
+  put(cache, "b", 4);
+  EXPECT_EQ(cache.stats().resident_bytes, 8U);
+  put(cache, "c", 4);  // 12 > 10: "a" goes, "b" and "c" stay.
+  EXPECT_EQ(cache.size(), 2U);
+  EXPECT_EQ(cache.stats().resident_bytes, 8U);
+  EXPECT_EQ(cache.stats().evictions, 1U);
+  put(cache, "b", 4);  // Still resident.
+  EXPECT_EQ(cache.stats().hits, 1U);
+  put(cache, "a", 4);  // Evicted: a miss, which in turn pushes "b" out.
+  EXPECT_EQ(cache.stats().misses, 4U);
+  EXPECT_EQ(cache.stats().evictions, 2U);
+  put(cache, "c", 4);
+  EXPECT_EQ(cache.stats().hits, 2U);
+}
+
+TEST(MemoCacheBudgetTest, EntryBoundStillHolds) {
+  StringCache cache(2, 1000, &string_bytes);
+  put(cache, "a", 1);
+  put(cache, "b", 1);
+  put(cache, "c", 1);
+  EXPECT_EQ(cache.size(), 2U);
+  EXPECT_EQ(cache.stats().evictions, 1U);
+  EXPECT_EQ(cache.stats().resident_bytes, 2U);
+}
+
+TEST(MemoCacheBudgetTest, JustCompletedEntrySurvivesAloneOverBudget) {
+  StringCache cache(64, 4, &string_bytes);
+  const auto big = put(cache, "big", 10);
+  EXPECT_EQ(cache.size(), 1U);
+  EXPECT_EQ(cache.stats().resident_bytes, 10U);
+  // The next request for it is served from the cache.
+  EXPECT_EQ(put(cache, "big", 10).get(), big.get());
+  EXPECT_EQ(cache.stats().hits, 1U);
+  // A second oversized value displaces it and is itself kept.
+  put(cache, "bigger", 20);
+  EXPECT_EQ(cache.size(), 1U);
+  EXPECT_EQ(cache.stats().resident_bytes, 20U);
+  EXPECT_EQ(cache.stats().evictions, 1U);
+  put(cache, "bigger", 20);
+  EXPECT_EQ(cache.stats().hits, 2U);
+}
+
+TEST(MemoCacheBudgetTest, InFlightEntryChargedOnlyOnCompletion) {
+  StringCache cache(64, 10, &string_bytes);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread slow([&] {
+    cache.get_or_compute("slow", [&] {
+      started.set_value();
+      released.wait();
+      return std::string(6, 's');
+    });
+  });
+  started.get_future().wait();
+  EXPECT_EQ(cache.size(), 1U);
+  EXPECT_EQ(cache.stats().resident_bytes, 0U);
+  // Completions over the budget pass the weightless in-flight entry by.
+  put(cache, "a", 8);
+  put(cache, "b", 8);  // 16 > 10: "a" goes, "slow" is not touched.
+  EXPECT_EQ(cache.size(), 2U);
+  EXPECT_EQ(cache.stats().resident_bytes, 8U);
+  EXPECT_EQ(cache.stats().evictions, 1U);
+  release.set_value();
+  slow.join();
+  // Charged at last: 14 > 10, so the oldest other completed entry ("b")
+  // goes and the value that just completed stays.
+  EXPECT_EQ(cache.size(), 1U);
+  EXPECT_EQ(cache.stats().resident_bytes, 6U);
+  EXPECT_EQ(cache.stats().evictions, 2U);
+  put(cache, "slow", 6);
+  EXPECT_EQ(cache.stats().hits, 1U);
+}
+
+TEST(MemoCacheBudgetTest, FailedComputationLeavesResidentBytes) {
+  StringCache cache(64, 100, &string_bytes);
+  put(cache, "a", 7);
+  EXPECT_THROW(cache.get_or_compute(
+                   "bad", []() -> std::string { throw std::runtime_error("x"); }),
+               std::runtime_error);
+  EXPECT_EQ(cache.size(), 1U);
+  EXPECT_EQ(cache.stats().resident_bytes, 7U);
+  EXPECT_EQ(cache.stats().evictions, 0U);
+}
+
+TEST(MemoCacheBudgetTest, ClearAndShrinkReleaseBytes) {
+  StringCache cache(4, 100, &string_bytes);
+  put(cache, "a", 3);
+  put(cache, "b", 5);
+  cache.set_capacity(1);
+  EXPECT_EQ(cache.stats().resident_bytes, 5U);
+  cache.set_capacity(0);
+  EXPECT_EQ(cache.stats().resident_bytes, 0U);
+  cache.set_capacity(4);
+  put(cache, "c", 9);
+  cache.clear();
+  EXPECT_EQ(cache.stats().resident_bytes, 0U);
+  EXPECT_EQ(cache.size(), 0U);
+}
+
+TEST(TraceCacheTest, ChargesSlotStoragePlusObject) {
+  TraceCache cache;
+  EXPECT_EQ(cache.capacity(), TraceCache::kDefaultCapacity);
+  const auto trace = cache.get_or_generate(small_config());
+  EXPECT_EQ(trace->footprint_bytes(),
+            sizeof(PacketFateTrace) + trace->size() * sizeof(TraceSlot));
+  EXPECT_EQ(cache.stats().resident_bytes, trace->footprint_bytes());
+}
+
+TEST(TraceCacheTest, ByteBudgetBoundsLongTraces) {
+  // Room for two traces but not three: the byte bound, not the entry
+  // bound, decides.
+  const std::size_t one = generate_trace(small_config()).footprint_bytes();
+  TraceCache cache(64, 2 * one + one / 2);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    cache.get_or_generate(small_config(seed));
+  }
+  EXPECT_EQ(cache.size(), 2U);
+  EXPECT_EQ(cache.stats().evictions, 3U);
+  EXPECT_EQ(cache.stats().resident_bytes, 2 * one);
+  cache.get_or_generate(small_config(5));  // The newest two are resident.
+  cache.get_or_generate(small_config(4));
+  EXPECT_EQ(cache.stats().hits, 2U);
+}
+
+// ---------------------------------------------------------------------------
 // The determinism contract: sweep JSON is byte-identical with the cache on
 // or off, at 1, 2, and 8 threads; and a parameter-only sweep actually hits.
 
@@ -221,12 +363,17 @@ std::string run_param_sweep(int threads, TraceCache* cache) {
 
 TEST(TraceCacheSweepTest, JsonByteIdenticalCacheOnOffAcrossThreadCounts) {
   const std::string reference = run_param_sweep(1, nullptr);
-  for (const int threads : {1, 2, 8}) {
-    TraceCache cache(8);
-    EXPECT_EQ(run_param_sweep(threads, nullptr), reference)
-        << "cache off, threads=" << threads;
-    EXPECT_EQ(run_param_sweep(threads, &cache), reference)
-        << "cache on, threads=" << threads;
+  // A 1-byte budget keeps only the trace that completed last, so nearly
+  // every request regenerates; the bytes must not notice.
+  for (const std::size_t budget : {TraceCache::kDefaultByteBudget,
+                                   std::size_t{1}}) {
+    for (const int threads : {1, 2, 8}) {
+      TraceCache cache(8, budget);
+      EXPECT_EQ(run_param_sweep(threads, nullptr), reference)
+          << "cache off, threads=" << threads;
+      EXPECT_EQ(run_param_sweep(threads, &cache), reference)
+          << "cache on, budget=" << budget << ", threads=" << threads;
+    }
   }
 }
 

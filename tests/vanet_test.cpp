@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/stats.h"
 #include "vanet/cte.h"
 #include "vanet/link_tracker.h"
@@ -103,6 +104,54 @@ TEST(RoadNetworkTest, ChordsCityDeterministicPerSeed) {
   ASSERT_EQ(a.num_intersections(), b.num_intersections());
   for (int i = 0; i < a.num_intersections(); ++i) {
     EXPECT_DOUBLE_EQ(a.position(i).x, b.position(i).x);
+  }
+}
+
+/// chords_city's crossing merge as it stood before PointMerger: a linear
+/// scan for the lowest-index node within 1 m, else a new node.
+int scan_find_or_add(std::vector<Vec2>& points, const Vec2& pos) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (distance(points[i], pos) < 1.0) return static_cast<int>(i);
+  }
+  points.push_back(pos);
+  return static_cast<int>(points.size() - 1);
+}
+
+TEST(PointMergerTest, MatchesLinearScanOnCrowdedCrossings) {
+  util::Rng rng(2024);
+  for (int round = 0; round < 20; ++round) {
+    // Crossings crowd around a few centres, so most lie within 1 m of
+    // several others and of the 1 m cell borders; coordinates run negative
+    // too. Some land on whole metres, and some 1 m (to rounding) from a stored
+    // point (not merged: the predicate is strict).
+    const double area = rng.uniform(2.0, 40.0);
+    std::vector<Vec2> centres(8);
+    for (auto& c : centres) {
+      c = Vec2{rng.uniform(-area, area), rng.uniform(-area, area)};
+    }
+    std::vector<Vec2> scanned;
+    std::vector<Vec2> merged;
+    PointMerger merger(merged);
+    for (int i = 0; i < 600; ++i) {
+      const Vec2& c = centres[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(centres.size()) - 1))];
+      Vec2 pos{c.x + rng.uniform(-1.5, 1.5), c.y + rng.uniform(-1.5, 1.5)};
+      const double u = rng.uniform();
+      if (u < 0.1) {
+        pos = Vec2{std::round(pos.x), std::round(pos.y)};
+      } else if (u < 0.2 && !scanned.empty()) {
+        const Vec2& p = scanned[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(scanned.size()) - 1))];
+        pos = rng.bernoulli(0.5) ? Vec2{p.x + 1.0, p.y} : Vec2{p.x, p.y - 1.0};
+      }
+      const int want = scan_find_or_add(scanned, pos);
+      ASSERT_EQ(merger.find_or_add(pos), want)
+          << "round " << round << ", crossing " << i << " at (" << pos.x
+          << ", " << pos.y << ")";
+    }
+    ASSERT_EQ(merged.size(), scanned.size());
+    EXPECT_GT(scanned.size(), 20U);
+    EXPECT_LT(scanned.size(), 600U);  // Merges happened.
   }
 }
 

@@ -941,10 +941,13 @@ int run_channel_sweep(const Options& o, const Grid& grid) {
     // stderr only: cache effectiveness is host/scheduling-dependent and must
     // never leak into the byte-compared JSON or the stdout table.
     const auto cs = channel::global_trace_cache().stats();
-    std::fprintf(stderr, "[trace cache: %llu hits, %llu misses, %llu evictions]\n",
+    std::fprintf(stderr,
+                 "[trace cache: %llu hits, %llu misses, %llu evictions, "
+                 "%.1f KiB resident]\n",
                  static_cast<unsigned long long>(cs.hits),
                  static_cast<unsigned long long>(cs.misses),
-                 static_cast<unsigned long long>(cs.evictions));
+                 static_cast<unsigned long long>(cs.evictions),
+                 static_cast<double>(cs.resident_bytes) / 1024.0);
   }
   if (journal.is_open()) {
     std::fprintf(stderr, "[checkpoint: %llu record(s) appended%s]\n",
