@@ -48,8 +48,8 @@ class TraceCache : public util::MemoCache<PacketFateTrace> {
  public:
   /// `capacity` is the maximum number of resident traces; 0 disables
   /// caching (get_or_generate degenerates to plain generate_trace).
-  /// `byte_budget` bounds their resident footprint; the trace that just
-  /// completed stays resident even when it alone exceeds it.
+  /// `byte_budget` bounds their resident footprint; a trace larger than it
+  /// is served to the callers waiting on it but not kept.
   explicit TraceCache(std::size_t capacity = kDefaultCapacity,
                       std::size_t byte_budget = kDefaultByteBudget)
       : MemoCache(capacity, byte_budget, [](const PacketFateTrace& trace) {

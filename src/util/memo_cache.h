@@ -18,7 +18,9 @@
 // Two bounds hold the resident set: an entry count (enforced when a key is
 // inserted) and a byte budget (enforced when a value completes). A value's
 // footprint is charged under the lock once its computation returns; an
-// in-flight entry weighs 0 bytes because its size is not known yet.
+// in-flight entry weighs 0 bytes because its size is not known yet. A cache
+// built without a footprint function charges nothing, so its
+// resident_bytes stays 0.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +69,7 @@ template <class Value>
 class MemoCache {
  public:
   using Ptr = std::shared_ptr<const Value>;
-  /// Bytes a resident value holds; nullptr charges sizeof(Value).
+  /// Bytes a resident value holds; nullptr charges 0.
   using Footprint = std::size_t (*)(const Value&);
 
   static constexpr std::size_t kNoByteBudget =
@@ -77,16 +79,17 @@ class MemoCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /// Footprint of the completed values now resident.
+    /// Footprint of the completed values now resident (0 without a
+    /// footprint function).
     std::size_t resident_bytes = 0;
   };
 
   /// `capacity` is the maximum number of resident values; 0 disables
   /// caching (get_or_compute degenerates to plain compute()). After a value
   /// completes, the oldest completed entries are evicted while the resident
-  /// footprint exceeds `byte_budget`; the value that just completed is never
-  /// among them, so one value larger than the whole budget is still served
-  /// to the requests that follow it.
+  /// footprint exceeds `byte_budget`. The value that just completed is no
+  /// exception: one larger than the whole budget is handed to the callers
+  /// already waiting on it and then dropped.
   explicit MemoCache(std::size_t capacity,
                      std::size_t byte_budget = kNoByteBudget,
                      Footprint footprint = nullptr)
@@ -141,14 +144,13 @@ class MemoCache {
       throw;
     }
     promise.set_value(value);
-    const std::size_t bytes =
-        footprint_ != nullptr ? footprint_(*value) : sizeof(Value);
+    const std::size_t bytes = footprint_ != nullptr ? footprint_(*value) : 0;
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = find_own_locked(key, serial);
     if (it != entries_.end()) {  // Not evicted or cleared meanwhile.
       it->second.bytes = bytes;
       stats_.resident_bytes += bytes;
-      evict_to_budget_locked(serial);
+      evict_to_budget_locked();
     }
     return value;
   }
@@ -221,14 +223,14 @@ class MemoCache {
     }
   }
 
-  /// Evicts the oldest completed entries, except the one inserted as
-  /// `keep`, while the resident bytes exceed the budget. In-flight entries
-  /// weigh nothing, so evicting them could not help. Requires lock.
-  void evict_to_budget_locked(std::uint64_t keep) {
+  /// Evicts the oldest completed entries while the resident bytes exceed
+  /// the budget. In-flight entries weigh nothing, so evicting them could not
+  /// help. Requires lock.
+  void evict_to_budget_locked() {
     auto key = order_.begin();
     while (stats_.resident_bytes > byte_budget_ && key != order_.end()) {
       const auto it = entries_.find(*key++);
-      if (it->second.serial != keep && it->second.bytes > 0) evict_locked(it);
+      if (it->second.bytes > 0) evict_locked(it);
     }
   }
 

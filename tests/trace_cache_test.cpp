@@ -219,21 +219,26 @@ TEST(MemoCacheBudgetTest, EntryBoundStillHolds) {
   EXPECT_EQ(cache.stats().resident_bytes, 2U);
 }
 
-TEST(MemoCacheBudgetTest, JustCompletedEntrySurvivesAloneOverBudget) {
+TEST(MemoCacheBudgetTest, ValueOverBudgetIsServedButNotKept) {
   StringCache cache(64, 4, &string_bytes);
+  put(cache, "a", 3);
   const auto big = put(cache, "big", 10);
-  EXPECT_EQ(cache.size(), 1U);
-  EXPECT_EQ(cache.stats().resident_bytes, 10U);
-  // The next request for it is served from the cache.
-  EXPECT_EQ(put(cache, "big", 10).get(), big.get());
-  EXPECT_EQ(cache.stats().hits, 1U);
-  // A second oversized value displaces it and is itself kept.
-  put(cache, "bigger", 20);
-  EXPECT_EQ(cache.size(), 1U);
-  EXPECT_EQ(cache.stats().resident_bytes, 20U);
-  EXPECT_EQ(cache.stats().evictions, 1U);
-  put(cache, "bigger", 20);
-  EXPECT_EQ(cache.stats().hits, 2U);
+  EXPECT_EQ(*big, std::string(10, 'x'));
+  // 13 > 4: "a" goes first, then "big" itself.
+  EXPECT_EQ(cache.size(), 0U);
+  EXPECT_EQ(cache.stats().resident_bytes, 0U);
+  EXPECT_EQ(cache.stats().evictions, 2U);
+  put(cache, "big", 10);
+  EXPECT_EQ(cache.stats().hits, 0U);
+  EXPECT_EQ(cache.stats().misses, 3U);
+}
+
+TEST(MemoCacheBudgetTest, NoFootprintFunctionChargesNothing) {
+  StringCache cache(2);
+  put(cache, "a", 100);
+  put(cache, "b", 100);
+  EXPECT_EQ(cache.size(), 2U);
+  EXPECT_EQ(cache.stats().resident_bytes, 0U);
 }
 
 TEST(MemoCacheBudgetTest, InFlightEntryChargedOnlyOnCompletion) {
@@ -259,12 +264,12 @@ TEST(MemoCacheBudgetTest, InFlightEntryChargedOnlyOnCompletion) {
   EXPECT_EQ(cache.stats().evictions, 1U);
   release.set_value();
   slow.join();
-  // Charged at last: 14 > 10, so the oldest other completed entry ("b")
-  // goes and the value that just completed stays.
+  // Charged at last: 14 > 10. "slow" was inserted before "b", so FIFO
+  // evicts it even though it completed last.
   EXPECT_EQ(cache.size(), 1U);
-  EXPECT_EQ(cache.stats().resident_bytes, 6U);
+  EXPECT_EQ(cache.stats().resident_bytes, 8U);
   EXPECT_EQ(cache.stats().evictions, 2U);
-  put(cache, "slow", 6);
+  put(cache, "b", 8);
   EXPECT_EQ(cache.stats().hits, 1U);
 }
 
@@ -363,8 +368,8 @@ std::string run_param_sweep(int threads, TraceCache* cache) {
 
 TEST(TraceCacheSweepTest, JsonByteIdenticalCacheOnOffAcrossThreadCounts) {
   const std::string reference = run_param_sweep(1, nullptr);
-  // A 1-byte budget keeps only the trace that completed last, so nearly
-  // every request regenerates; the bytes must not notice.
+  // A 1-byte budget keeps no trace, so every request regenerates; the
+  // bytes must not notice.
   for (const std::size_t budget : {TraceCache::kDefaultByteBudget,
                                    std::size_t{1}}) {
     for (const int threads : {1, 2, 8}) {
